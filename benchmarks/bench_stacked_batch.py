@@ -16,9 +16,11 @@ Two guards:
 
 The headline 50-length measurement and the planner-grid wall-clock
 before/after are printed and written to ``BENCH_stacked_batch.json`` for
-EXPERIMENTS.md.
+EXPERIMENTS.md.  Every comparison times its sides in interleaved rounds and
+compares medians (see :func:`time_call`).
 """
 
+import statistics
 import time
 
 from conftest import emit_bench_json, print_table
@@ -49,13 +51,25 @@ def length_mix(count, start=16, step=8):
     return tuple(start + i * step for i in range(count))
 
 
-def time_call(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+#: Interleaved timing rounds per comparison.
+ROUNDS = 21
+
+
+def time_call(*fns, rounds=ROUNDS):
+    """Median seconds of each call in ``fns``, timed in interleaved rounds.
+
+    Every round times each call once, in turn, so drift on a shared host
+    hits all of them alike, and the median drops the rounds a neighbour
+    stole; a back-to-back minimum lets one side catch a quiet window the
+    other misses.
+    """
+    samples = [[] for _ in fns]
+    for _ in range(rounds):
+        for fn, times in zip(fns, samples):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+    return tuple(statistics.median(times) for times in samples)
 
 
 def assert_parity(per_length, stacked):
@@ -81,8 +95,10 @@ def measure_backend(config, backend_name, lengths):
     stacked_reports = backend.simulate_stack(stack)
     assert_parity(per_length_reports, stacked_reports)
 
-    loop = time_call(lambda: [backend.simulate_table(t) for t in tables])
-    stacked = time_call(lambda: backend.simulate_stack(stack))
+    loop, stacked = time_call(
+        lambda: [backend.simulate_table(t) for t in tables],
+        lambda: backend.simulate_stack(stack),
+    )
     return loop, stacked, loop / stacked
 
 
@@ -92,13 +108,14 @@ def test_stacked_mix_beats_per_length_loop():
     guard = length_mix(GUARD_MIX)
     headline = length_mix(HEADLINE_MIX)
 
-    rows = [("backend", "mix", "per-length", "stacked", "speedup")]
+    rows = [("backend", "mix", "per-length", "us/length", "stacked", "speedup")]
     results = {}
     for backend_name in ("lightnobel", "h100", "h100-chunk"):
         for label, lengths in (("guard30", guard), ("headline50", headline)):
             loop, stacked, speedup = measure_backend(config, backend_name, lengths)
             results[f"{backend_name}_{label}"] = {
                 "per_length_seconds": loop,
+                "per_length_us_per_length": loop / len(lengths) * 1e6,
                 "stacked_seconds": stacked,
                 "speedup": speedup,
             }
@@ -107,6 +124,7 @@ def test_stacked_mix_beats_per_length_loop():
                     backend_name,
                     f"{len(lengths)} lengths",
                     f"{loop * 1e3:8.2f} ms",
+                    f"{loop / len(lengths) * 1e6:6.1f}",
                     f"{stacked * 1e3:8.2f} ms",
                     f"{speedup:5.1f}x",
                 )
@@ -145,10 +163,10 @@ def test_stacked_totals_headline():
         (r.total_seconds, r.out_of_memory) for r in reference
     ]
 
-    loop = time_call(
-        lambda: [backend.simulate_table(t).total_seconds for t in tables], repeats=7
+    loop, totals = time_call(
+        lambda: [backend.simulate_table(t).total_seconds for t in tables],
+        lambda: backend.simulate_stack_totals(stack),
     )
-    totals = time_call(lambda: backend.simulate_stack_totals(stack), repeats=7)
 
     def session_loop():
         session = SimulationSession(ppm_config=config, use_disk_cache=False)
@@ -160,9 +178,8 @@ def test_stacked_totals_headline():
         session = SimulationSession(ppm_config=config, use_disk_cache=False)
         return session.batch_total_seconds(lengths, backends=["lightnobel"])
 
-    session_loop()  # warm the process-wide table/stack LRUs
-    session_before = time_call(session_loop, repeats=7)
-    session_after = time_call(session_totals, repeats=7)
+    session_loop()  # warm the process-wide table LRU
+    session_before, session_after = time_call(session_loop, session_totals)
 
     print_table(
         f"Totals-only mix pricing ({HEADLINE_MIX} lengths, lightnobel)",
@@ -248,16 +265,13 @@ def test_planner_prefetch_wall_clock():
             for n in distinct
         }
 
-    before = time_call(lambda: per_length_prefetch(), repeats=3)
-    after = time_call(
+    before, after, bucketed = time_call(
+        per_length_prefetch,
         lambda: prefetch_service_times(trace, fleet, session=fresh_session()),
-        repeats=3,
-    )
-    bucketed = time_call(
         lambda: prefetch_service_times(
             trace, fleet, session=fresh_session(), length_bucket_size=64
         ),
-        repeats=3,
+        rounds=7,
     )
 
     exact = prefetch_service_times(trace, fleet, session=fresh_session())

@@ -29,7 +29,7 @@ from typing import Any, List, Optional, Tuple
 from .._digest import stable_digest
 from ..hardware.interconnect import ChipLinkSpec
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import OperatorTable, get_op_table
+from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_op_table
 from ..sim.backend import LatencyBackend, SimReport, create_backend
 
 
@@ -60,7 +60,9 @@ class MultiChipBackend:
     interconnect.  Composition keeps the repo-wide determinism bar — the
     report is arithmetic over the inner :class:`~repro.sim.backend.SimReport`,
     so multi-chip numbers are exactly reproducible wherever the single-chip
-    numbers are.
+    numbers are.  Like every backend it prices stacks: ``simulate_stack``
+    and ``simulate_stack_totals`` compose over the inner backend's own
+    stacked pass, so a node prices a whole length mix in one engine pass.
 
     Memory relief from sharding is *not* modeled: an inner out-of-memory
     verdict is passed through unchanged (conservative for GPU backends).
@@ -90,9 +92,9 @@ class MultiChipBackend:
         syncs = cfg.num_blocks * self.link.syncs_per_block
         return syncs * self.link.allgather_seconds(pair_bytes, self.chips)
 
-    def simulate_table(self, table: OperatorTable) -> SimReport:
-        inner = self.inner.simulate_table(table)
-        comm = self.communication_seconds(table.sequence_length)
+    def _compose(self, inner: SimReport) -> SimReport:
+        """The node's report: ``inner`` split over the chips plus the link."""
+        comm = self.communication_seconds(inner.sequence_length)
         scale = 1.0 / self.chips
         details = dict(inner.details)
         details.update(
@@ -104,13 +106,32 @@ class MultiChipBackend:
         )
         return SimReport(
             backend=self.name,
-            sequence_length=table.sequence_length,
+            sequence_length=inner.sequence_length,
             total_seconds=inner.total_seconds * scale + comm,
             phase_seconds={k: v * scale for k, v in inner.phase_seconds.items()},
             subphase_seconds={k: v * scale for k, v in inner.subphase_seconds.items()},
             out_of_memory=inner.out_of_memory,
             details=details,
         )
+
+    def simulate_table(self, table: OperatorTable) -> SimReport:
+        return self._compose(self.inner.simulate_table(table))
+
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
+        """The inner backend's stacked pass, composed segment by segment."""
+        return [self._compose(r) for r in self.inner.simulate_stack(stack)]
+
+    def simulate_stack_totals(
+        self, stack: StackedOperatorTable
+    ) -> List[Tuple[float, bool]]:
+        """The inner totals composed with the same arithmetic as :meth:`_compose`."""
+        scale = 1.0 / self.chips
+        return [
+            (total * scale + self.communication_seconds(n), oom)
+            for n, (total, oom) in zip(
+                stack.lengths, self.inner.simulate_stack_totals(stack)
+            )
+        ]
 
     def degraded_communication_seconds(
         self, sequence_length: int, bandwidth_factor: float

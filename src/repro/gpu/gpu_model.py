@@ -143,13 +143,13 @@ class GPUModel:
             out_of_memory=oom,
         )
 
-    def _operator_columns(self, table, chunked: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """(seconds, kernels) per-operator arrays over table columns.
+    def _operator_columns(
+        self, table: StackedOperatorTable, chunked: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(seconds, kernels) per-operator arrays over stacked columns.
 
-        ``table`` is anything exposing the columnar protocol — an
-        :class:`OperatorTable` or a :class:`~repro.ppm.op_table.StackedOperatorTable`.
-        Purely elementwise, so stacked evaluation matches the per-length call
-        bit for bit.
+        Purely elementwise, so each segment's values are the same whatever
+        other lengths share the stack.
         """
         eff = self.gpu.effective_flops
         is_matmul = table.engine_mask(ENGINE_MATMUL)
@@ -172,46 +172,9 @@ class GPUModel:
         )
         return seconds, kernels
 
-    def _assemble_report(
-        self,
-        table: OperatorTable,
-        seconds: np.ndarray,
-        kernels: np.ndarray,
-        chunked: bool,
-    ) -> GPULatencyReport:
-        return self._finish_report(
-            table,
-            float(seconds.sum()),
-            float(kernels.sum()),
-            chunked,
-            table.weighted_sums("phase", seconds),
-            table.weighted_sums("subphase", seconds),
-        )
-
-    def _finish_report(
-        self,
-        table: OperatorTable,
-        total_seconds: float,
-        kernel_count: float,
-        chunked: bool,
-        phase_seconds: Dict[str, float],
-        subphase_seconds: Dict[str, float],
-    ) -> GPULatencyReport:
-        return GPULatencyReport(
-            gpu=self.gpu.name,
-            sequence_length=table.sequence_length,
-            chunked=chunked,
-            total_seconds=total_seconds,
-            phase_seconds=phase_seconds,
-            subphase_seconds={sub: s for sub, s in subphase_seconds.items() if sub},
-            kernel_count=kernel_count,
-            out_of_memory=not self.fits_in_memory(table.sequence_length, chunked=chunked),
-        )
-
     def simulate_table(self, table: OperatorTable, chunked: bool = False) -> GPULatencyReport:
-        """Vectorized roofline model over the columns of an :class:`OperatorTable`."""
-        seconds, kernels = self._operator_columns(table, chunked)
-        return self._assemble_report(table, seconds, kernels, chunked)
+        """One length is a one-segment stack: price it with :meth:`simulate_stack`."""
+        return self.simulate_stack(table.as_stack(), chunked=chunked)[0]
 
     def simulate_stack(
         self, stack: StackedOperatorTable, chunked: bool = False
@@ -220,26 +183,34 @@ class GPUModel:
 
         Elementwise arithmetic runs once over the stack, phase/subphase
         reductions once over combined (segment, label) bins, totals over
-        contiguous slices — all bit-identical to :meth:`simulate_table`.
+        contiguous slices — each segment bit-identical to pricing that length
+        by itself with :meth:`simulate_table`.
         """
         seconds, kernels = self._operator_columns(stack, chunked)
-        phase_dicts = stack.segment_weighted_sums_all("phase", seconds)
-        subphase_dicts = stack.segment_weighted_sums_all("subphase", seconds)
-        # One 2-row axis-sum per segment totals seconds and kernels together;
-        # pairwise summation runs over each contiguous row exactly as it does
-        # over the standalone per-length array.
-        pair = np.vstack((seconds, kernels))
+        # Each total is one contiguous-slice sum: the same pairwise summation
+        # the segment's array gets when the length is priced alone.
+        total = np.add.reduce
         reports = []
-        for i, sl in enumerate(stack.segments):
-            total_seconds, kernel_count = pair[:, sl].sum(axis=1).tolist()
+        for table, sl, phase_seconds, subphase_seconds in zip(
+            stack.tables,
+            stack.segments,
+            stack.segment_weighted_sums_all("phase", seconds),
+            stack.segment_weighted_sums_all("subphase", seconds),
+        ):
+            # Operators outside any subphase carry the empty label; the dict
+            # is fresh from the reduction, so it is dropped in place.
+            subphase_seconds.pop("", None)
+            n = table.sequence_length
             reports.append(
-                self._finish_report(
-                    stack.tables[i],
-                    total_seconds,
-                    kernel_count,
-                    chunked,
-                    phase_dicts[i],
-                    subphase_dicts[i],
+                GPULatencyReport(
+                    gpu=self.gpu.name,
+                    sequence_length=n,
+                    chunked=chunked,
+                    total_seconds=float(total(seconds[sl])),
+                    phase_seconds=phase_seconds,
+                    subphase_seconds=subphase_seconds,
+                    kernel_count=float(total(kernels[sl])),
+                    out_of_memory=not self.fits_in_memory(n, chunked=chunked),
                 )
             )
         return reports

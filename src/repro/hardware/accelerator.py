@@ -12,11 +12,15 @@ the engine delays for that stage; the end-to-end latency is their sum.  The
 token-wise MHA optimization (Section 5.4) keeps the attention score matrix on
 chip, which removes both its DRAM traffic and its quantization cost.
 
-The hot path is columnar: :meth:`LightNobelAccelerator.simulate` fetches the
-LRU-cached :class:`~repro.ppm.op_table.OperatorTable` and evaluates all engine
-latencies as vectorized expressions over its columns.  The original
+The hot path is columnar and has one entry: :meth:`LightNobelAccelerator.simulate_stack`
+evaluates all engine latencies as vectorized expressions over the columns of
+a :class:`~repro.ppm.op_table.StackedOperatorTable` (a whole length mix) and
+reduces each segment to its report.  One length is a one-segment stack:
+:meth:`~LightNobelAccelerator.simulate_table` prices the table's memoized
+:meth:`~repro.ppm.op_table.OperatorTable.as_stack`.  The original
 per-operator loop is kept as :meth:`simulate_workload_legacy` and serves as
-the numerical reference for the parity tests and perf benchmarks.
+the independent numerical reference for the parity tests and perf
+benchmarks.
 """
 
 from __future__ import annotations
@@ -292,13 +296,13 @@ class LightNobelAccelerator:
             _latencies=operator_latencies,
         )
 
-    def _engine_cycles(self, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rmpu, vvpu, memory, dram) per-operator arrays over table columns.
+    def _engine_cycles(
+        self, table: StackedOperatorTable
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rmpu, vvpu, memory, dram) per-operator arrays over stacked columns.
 
-        ``table`` is anything exposing the columnar protocol — an
-        :class:`OperatorTable` or a :class:`~repro.ppm.op_table.StackedOperatorTable`.
-        Every expression is elementwise, so evaluating a stacked concatenation
-        yields, per segment, bit-identical values to the per-length call.
+        Every expression is elementwise, so each segment's values are the
+        same whatever other lengths share the stack.
         """
         params = self._group_parameters(table.groups)
         g = table.group_codes
@@ -340,65 +344,9 @@ class LightNobelAccelerator:
         )
         return rmpu_cycles, vvpu_cycles, memory_cycles, dram
 
-    def _assemble_report(
-        self,
-        table: OperatorTable,
-        rmpu_cycles: np.ndarray,
-        vvpu_cycles: np.ndarray,
-        memory_cycles: np.ndarray,
-        dram: np.ndarray,
-    ) -> LatencyReport:
-        """Reduce per-operator engine cycles to one :class:`LatencyReport`."""
-        stage = (
-            np.maximum(np.maximum(rmpu_cycles, vvpu_cycles), memory_cycles)
-            + self.hw_config.per_op_overhead_cycles
-        )
-        return self._finish_report(
-            table,
-            stage,
-            rmpu_cycles,
-            vvpu_cycles,
-            memory_cycles,
-            dram,
-            table.weighted_sums("phase", stage),
-            table.weighted_sums("subphase", stage),
-        )
-
-    def _finish_report(
-        self,
-        table: OperatorTable,
-        stage: np.ndarray,
-        rmpu_cycles: np.ndarray,
-        vvpu_cycles: np.ndarray,
-        memory_cycles: np.ndarray,
-        dram: np.ndarray,
-        phase_cycles: Dict[str, float],
-        subphase_cycles: Dict[str, float],
-    ) -> LatencyReport:
-        total = float(stage.sum()) + self.hw_config.pipeline_fill_cycles
-        return LatencyReport(
-            sequence_length=table.sequence_length,
-            total_cycles=total,
-            total_seconds=total / self.hw_config.cycles_per_second,
-            phase_cycles=phase_cycles,
-            subphase_cycles={sub: c for sub, c in subphase_cycles.items() if sub},
-            dram_bytes=float(dram.sum()),
-            _columns=_LatencyColumns(
-                names=table.names,
-                phase_codes=table.phase_codes,
-                phases=table.phases,
-                subphase_codes=table.subphase_codes,
-                subphases=table.subphases,
-                rmpu_cycles=rmpu_cycles,
-                vvpu_cycles=vvpu_cycles,
-                memory_cycles=memory_cycles,
-            ),
-        )
-
     def simulate_table(self, table: OperatorTable) -> LatencyReport:
-        """Vectorized simulation over the columns of an :class:`OperatorTable`."""
-        rmpu, vvpu, memory, dram = self._engine_cycles(table)
-        return self._assemble_report(table, rmpu, vvpu, memory, dram)
+        """One length is a one-segment stack: price it with :meth:`simulate_stack`."""
+        return self.simulate_stack(table.as_stack())[0]
 
     def simulate_stack(self, stack: StackedOperatorTable) -> List[LatencyReport]:
         """One vectorized pass over a whole length mix; one report per segment.
@@ -406,30 +354,47 @@ class LightNobelAccelerator:
         The engine arithmetic runs once over the stacked concatenation, the
         phase/subphase reductions once over combined (segment, label) bins,
         and per-segment totals over contiguous slices — all accumulation
-        orders match the per-length call, so every returned report is
-        bit-identical to :meth:`simulate_table` on that length (asserted by
-        ``tests/test_stacked_table.py``).
+        orders are those of the segment alone, so every returned report is
+        bit-identical to pricing that length by itself with
+        :meth:`simulate_table` (asserted by ``tests/test_stacked_table.py``).
         """
         rmpu, vvpu, memory, dram = self._engine_cycles(stack)
         stage = (
             np.maximum(np.maximum(rmpu, vvpu), memory)
             + self.hw_config.per_op_overhead_cycles
         )
-        phase_dicts = stack.segment_weighted_sums_all("phase", stage)
-        subphase_dicts = stack.segment_weighted_sums_all("subphase", stage)
-        return [
-            self._finish_report(
-                stack.tables[i],
-                stage[sl],
-                rmpu[sl],
-                vvpu[sl],
-                memory[sl],
-                dram[sl],
-                phase_dicts[i],
-                subphase_dicts[i],
+        reports = []
+        for table, sl, phase_cycles, subphase_cycles in zip(
+            stack.tables,
+            stack.segments,
+            stack.segment_weighted_sums_all("phase", stage),
+            stack.segment_weighted_sums_all("subphase", stage),
+        ):
+            # Operators outside any subphase carry the empty label; the dict
+            # is fresh from the reduction, so it is dropped in place.
+            subphase_cycles.pop("", None)
+            total = float(stage[sl].sum()) + self.hw_config.pipeline_fill_cycles
+            reports.append(
+                LatencyReport(
+                    sequence_length=table.sequence_length,
+                    total_cycles=total,
+                    total_seconds=total / self.hw_config.cycles_per_second,
+                    phase_cycles=phase_cycles,
+                    subphase_cycles=subphase_cycles,
+                    dram_bytes=float(dram[sl].sum()),
+                    _columns=_LatencyColumns(
+                        names=table.names,
+                        phase_codes=table.phase_codes,
+                        phases=table.phases,
+                        subphase_codes=table.subphase_codes,
+                        subphases=table.subphases,
+                        rmpu_cycles=rmpu[sl],
+                        vvpu_cycles=vvpu[sl],
+                        memory_cycles=memory[sl],
+                    ),
+                )
             )
-            for i, sl in enumerate(stack.segments)
-        ]
+        return reports
 
     def simulate_stack_totals(self, stack: StackedOperatorTable) -> List[float]:
         """Per-segment ``total_seconds`` only — no report materialization.
@@ -437,7 +402,7 @@ class LightNobelAccelerator:
         Totals-only consumers (the planner's service-time prefetch prices
         thousands of lengths and reads nothing but the scalar) skip the
         per-segment ``LatencyReport`` assembly entirely.  Each total is the
-        same contiguous-slice sum :meth:`simulate_table` computes
+        same contiguous-slice sum :meth:`simulate_stack` computes
         (``ndarray.sum`` delegates to ``np.add.reduce``), so the floats are
         bit-identical to the full-report path.
         """

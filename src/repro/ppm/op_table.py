@@ -21,13 +21,15 @@ column set with per-length segment offsets.  A latency backend evaluates its
 vectorized expressions once over the full stack and reduces each segment back
 to its per-length report, so pricing a mix of hundreds of distinct lengths is
 one numpy pass instead of one engine invocation per length.  Each segment's
-columns are bytewise the per-length table's columns, which keeps stacked
-evaluation bit-identical to the per-length path.
+columns are bytewise the per-length table's columns, so a length prices
+bit-identically in any mix.  The stacked pass is the simulators' only
+pricing path: one table is priced as its memoized one-segment stack
+(:meth:`OperatorTable.as_stack`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,6 +68,13 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Read-only concatenation; a single (already frozen) array is shared."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return _freeze(np.concatenate(arrays))
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorTable:
     """One operator graph stored column-wise (struct of arrays)."""
@@ -87,6 +96,9 @@ class OperatorTable:
     output_elements: np.ndarray
     weight_elements: np.ndarray
     fusible: np.ndarray
+    #: Derived state (the one-segment stack), created empty with the instance
+    #: so that caching never adds attributes to it.
+    _memo: Dict = field(default_factory=dict, init=False, repr=False)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -148,6 +160,28 @@ class OperatorTable:
         return Workload(
             sequence_length=self.sequence_length, config=self.config, operators=operators
         )
+
+    def __getstate__(self) -> Dict:
+        # The memo is derived state: keep it out of pickles, so disk-cached
+        # tables stay byte-for-byte what they were.
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state, _memo={})
+
+    def as_stack(self) -> "StackedOperatorTable":
+        """This table as a one-segment :class:`StackedOperatorTable` (memoized).
+
+        The simulators price every table through their stacked pass; the
+        stack shares this table's column arrays, so building it copies
+        nothing.
+        """
+        stack = self._memo.get("stack")
+        if stack is None:
+            stack = self._memo["stack"] = StackedOperatorTable.from_tables((self,))
+        return stack
 
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -284,7 +318,7 @@ def _remap_codes(
     """
     first = vocabs[0]
     if all(vocab == first for vocab in vocabs[1:]):
-        return np.concatenate(codes), first
+        return _concat(codes), first
     union: List = []
     index: Dict = {}
     remapped: List[np.ndarray] = []
@@ -331,6 +365,9 @@ class StackedOperatorTable:
     output_elements: np.ndarray
     weight_elements: np.ndarray
     fusible: np.ndarray
+    #: Derived state (segment slices, reduction plans), created empty with
+    #: the instance so that caching never adds attributes to it.
+    _memo: Dict = field(default_factory=dict, init=False, repr=False)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -371,12 +408,12 @@ class StackedOperatorTable:
             subphase_codes=_freeze(subphase_codes),
             groups=groups,
             group_codes=_freeze(group_codes),
-            macs=_freeze(np.concatenate([t.macs for t in tables])),
-            vector_ops=_freeze(np.concatenate([t.vector_ops for t in tables])),
-            input_elements=_freeze(np.concatenate([t.input_elements for t in tables])),
-            output_elements=_freeze(np.concatenate([t.output_elements for t in tables])),
-            weight_elements=_freeze(np.concatenate([t.weight_elements for t in tables])),
-            fusible=_freeze(np.concatenate([t.fusible for t in tables])),
+            macs=_concat([t.macs for t in tables]),
+            vector_ops=_concat([t.vector_ops for t in tables]),
+            input_elements=_concat([t.input_elements for t in tables]),
+            output_elements=_concat([t.output_elements for t in tables]),
+            weight_elements=_concat([t.weight_elements for t in tables]),
+            fusible=_concat([t.fusible for t in tables]),
         )
 
     # ---------------------------------------------------------------- queries
@@ -398,18 +435,13 @@ class StackedOperatorTable:
     @property
     def segments(self) -> Tuple[slice, ...]:
         """All segment slices, materialized once per stack."""
-        cached = self.__dict__.get("_segments")
+        cached = self._memo.get("segments")
         if cached is None:
             bounds = self.segment_starts.tolist()
-            cached = tuple(
+            cached = self._memo["segments"] = tuple(
                 slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
             )
-            object.__setattr__(self, "_segments", cached)
         return cached
-
-    def segment_table(self, index: int) -> OperatorTable:
-        """The source per-length table of segment ``index``."""
-        return self.tables[index]
 
     def segment_index(self, sequence_length: int) -> int:
         """Segment holding ``sequence_length`` (raises ``ValueError`` if absent)."""
@@ -470,11 +502,7 @@ class StackedOperatorTable:
         repeated pricing of the same length mix skips the bin-index and
         vocab-layout construction entirely.
         """
-        cache = self.__dict__.get("_plans")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_plans", cache)
-        plan = cache.get(key)
+        plan = self._memo.get(("plan", key))
         if plan is None:
             codes, vocab = self._stacked_codes_for(key)
             width = len(vocab)
@@ -495,7 +523,7 @@ class StackedOperatorTable:
                 self.num_segments * width,
                 tuple(layouts),
             )
-            cache[key] = plan
+            self._memo[("plan", key)] = plan
         return plan
 
     def segment_weighted_sums_all(self, key: str, values: np.ndarray) -> List[Dict]:

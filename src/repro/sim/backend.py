@@ -8,9 +8,11 @@ module gives them a single face:
 
 * :class:`SimReport` — the common result shape (seconds, per-phase seconds,
   OOM flag, backend-specific details),
-* :class:`LatencyBackend` — the protocol every backend implements
-  (``simulate_table`` over a cached :class:`~repro.ppm.op_table.OperatorTable`
-  plus a stable ``config_digest`` for cache keys),
+* :class:`LatencyBackend` — the protocol every backend implements: one
+  stacked pricing pass over a :class:`~repro.ppm.op_table.StackedOperatorTable`
+  (full reports from ``simulate_stack``, scalar totals from
+  ``simulate_stack_totals``), ``simulate_table`` for one length — a
+  one-segment stack — and a stable ``config_digest`` for cache keys,
 * :class:`AcceleratorBackend` / :class:`GPUBackend` — adapters over the two
   existing simulators,
 * a registry (:func:`register_backend` / :func:`create_backend`) so a new
@@ -72,13 +74,14 @@ class SimReport:
 
 @runtime_checkable
 class LatencyBackend(Protocol):
-    """Anything that turns an operator table into a :class:`SimReport`.
+    """Anything that prices operator tables into :class:`SimReport` objects.
 
-    Backends may additionally implement
-    ``simulate_stack(stack: StackedOperatorTable) -> List[SimReport]`` —
-    one vectorized pass over a whole length mix, bit-identical per segment to
-    ``simulate_table`` — which the session/sweep layers use when present
-    (:func:`supports_stacking`); otherwise they fall back to per-table calls.
+    All three pricing methods are required, and there is no fallback: the
+    session, sweep and planner layers price every length mix through
+    ``simulate_stack`` (full reports) or ``simulate_stack_totals`` (scalars
+    only), and ``simulate_table`` prices one length as a one-segment stack.
+    Each segment's numbers are bit-identical whichever method, and whichever
+    mix, priced it.
     """
 
     name: str
@@ -88,14 +91,19 @@ class LatencyBackend(Protocol):
         """Evaluate one cached operator table."""
         ...
 
+    def simulate_stack(self, stack: StackedOperatorTable) -> List[SimReport]:
+        """Price a whole length mix in one pass; one report per segment."""
+        ...
+
+    def simulate_stack_totals(
+        self, stack: StackedOperatorTable
+    ) -> List[Tuple[float, bool]]:
+        """Per-segment ``(total_seconds, out_of_memory)``, without reports."""
+        ...
+
     def config_digest(self) -> str:
         """Stable hash of everything that affects this backend's numbers."""
         ...
-
-
-def supports_stacking(backend) -> bool:
-    """Whether ``backend`` can evaluate a :class:`StackedOperatorTable` in one pass."""
-    return callable(getattr(backend, "simulate_stack", None))
 
 
 #: Memo for backend config digests keyed by the (hashable, frozen) config

@@ -12,9 +12,9 @@ A :class:`SimulationSession` owns, for one :class:`~repro.ppm.config.PPMConfig`:
   (backend, length) pair, memoized in memory and optionally persisted to the
   version-stamped disk cache of :mod:`repro.sim.cache`.
 
-:meth:`SimulationSession.simulate_batch` amortizes one cached table per
-distinct length and evaluates all requested backends on it columnar-style —
-the loop the paper's Figs. 12–16 all run.
+:meth:`SimulationSession.simulate_batch` stacks the distinct lengths of a
+batch and prices each requested backend over the stack in one pass — the
+loop the paper's Figs. 12–16 all run.
 """
 
 from __future__ import annotations
@@ -25,19 +25,25 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .._digest import stable_digest
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import (
-    OperatorTable,
-    StackedOperatorTable,
-    get_op_table,
-    get_stacked_table,
-)
-from .backend import LatencyBackend, SimReport, create_backend, supports_stacking
+from ..ppm.op_table import OperatorTable, StackedOperatorTable, get_op_table
+from .backend import LatencyBackend, SimReport, create_backend
 from .cache import CACHE_DIR_ENV, DiskCache
 
 import os
+import weakref
 
 #: Backends a session resolves by default.
 DEFAULT_BACKENDS: Tuple[str, ...] = ("lightnobel", "h100")
+
+#: Stacks one session keeps (oldest evicted first): mixes recur within a
+#: sweep or a planner grid, but a long-lived server sees a new mix per batch.
+_STACK_MEMO_LIMIT = 8
+
+#: Stacks some session of this process holds, by (config, lengths, recycles):
+#: sessions pricing the same length set share one stack.
+_LIVE_STACKS: "weakref.WeakValueDictionary[Tuple, StackedOperatorTable]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass
@@ -233,21 +239,24 @@ class SimulationSession:
 
         Per-length tables resolve through :meth:`table` (session memo, disk
         cache, process LRU), so a stack is one concatenation over tables the
-        session already owns; the assembled stack is memoized per length set.
+        session already owns.  The assembled stack is memoized for the
+        latest length sets and shared with the other sessions of the process
+        while one holds it.
         """
         include = self.include_recycles if include_recycles is None else include_recycles
         canonical = tuple(sorted({int(n) for n in lengths}))
         memo_key = (canonical, bool(include))
         stack = self._stacks.get(memo_key)
         if stack is None:
-            # Tables are deterministic from the config, so the process-wide
-            # stack LRU is shared across sessions: a fresh session pricing a
-            # mix the process has already stacked pays one dict lookup, not a
-            # re-concatenation.
-            stack = get_stacked_table(self.ppm_config, canonical, include_recycles=include)
+            live_key = (self.ppm_config, memo_key)
+            stack = _LIVE_STACKS.get(live_key)
+            if stack is None:
+                stack = _LIVE_STACKS[live_key] = StackedOperatorTable.from_tables(
+                    [self.table(n, include) for n in canonical]
+                )
+            while len(self._stacks) >= _STACK_MEMO_LIMIT:
+                self._stacks.pop(next(iter(self._stacks)))
             self._stacks[memo_key] = stack
-            # Keep the session invariant that pricing a mix warms the table
-            # memo (segment tables ARE the per-length tables).
             for n, table in zip(stack.lengths, stack.tables):
                 self._tables.setdefault((n, bool(include)), table)
         return stack
@@ -352,22 +361,19 @@ class SimulationSession:
         """Seed the memo for every length ``name`` is missing, in ONE engine pass.
 
         Lengths already memoized (or on disk) are skipped; the remaining ones
-        form a :class:`StackedOperatorTable` evaluated with a single
-        ``simulate_stack`` call — bit-identical per segment to the per-length
-        path — and every segment report is seeded into the memo/disk cache.
+        form a :class:`StackedOperatorTable` priced by a single
+        ``simulate_stack`` call, and every segment report is seeded into the
+        memo/disk cache.
         """
-        backend = self._backends[name]
-        if not supports_stacking(backend):
-            return
         missing = [
             n
             for n in lengths
             if self.peek_report(name, n, include_recycles=include) is None
         ]
-        if len(missing) < 2:
+        if not missing:
             return
         stack = self.stacked_table(missing, include)
-        reports = backend.simulate_stack(stack)
+        reports = self._backends[name].simulate_stack(stack)
         for n in missing:
             self.seed_report(
                 name, n, reports[stack.segment_index(n)], include_recycles=include
@@ -381,13 +387,12 @@ class SimulationSession:
     ) -> BatchResult:
         """Evaluate every backend on every length in one stacked pass per backend.
 
-        Distinct lengths are stacked into one
-        :class:`~repro.ppm.op_table.StackedOperatorTable` (built at most once
-        per distinct-length set) and each stacking-capable backend prices the
-        whole mix with a single vectorized evaluation; results for repeated
-        lengths — and any length already memoized or on disk — are served
-        from the memo.  Backends without ``simulate_stack`` fall back to the
-        per-length loop.  Both paths return bit-identical reports.
+        The distinct lengths not yet memoized (or on disk) are stacked into
+        one :class:`~repro.ppm.op_table.StackedOperatorTable` (built at most
+        once per distinct-length set) and each backend prices the whole mix
+        with a single vectorized evaluation; results for repeated lengths are
+        served from the memo.  Every report is bit-identical to
+        :meth:`simulate` on its length.
         """
         lengths = [int(n) for n in lengths]
         include = (
@@ -414,11 +419,11 @@ class SimulationSession:
     ) -> List[List[Optional[float]]]:
         """Total latency of every (backend, length) pair; ``None`` where OOM.
 
-        The totals-only fast path for consumers that read nothing but the
-        scalar (the planner's service-time prefetch): backends exposing
-        ``simulate_stack_totals`` price the whole mix in one engine pass with
-        NO per-length report assembly, which is several times faster again
-        than :meth:`simulate_batch`.  Each total is bit-identical to
+        The totals-only path for consumers that read nothing but the scalar
+        (the planner's service-time prefetch): each backend prices the
+        distinct lengths with one ``simulate_stack_totals`` pass and NO
+        per-length report assembly, which is several times faster again than
+        :meth:`simulate_batch`.  Each total is bit-identical to
         ``simulate(n, backend).total_seconds``.  Read-only: nothing is seeded
         into the report memo (recomputing is cheaper than materializing the
         reports would be).
@@ -432,28 +437,18 @@ class SimulationSession:
         )
         specs = list(backends) if backends is not None else list(self._backends)
         names = [self._name_of(self.backend(spec)) for spec in specs]
+        if not lengths:
+            return [[] for _ in names]
+        stack = self.stacked_table(lengths, include)
         by_name: Dict[str, Dict[int, Optional[float]]] = {}
-        out: List[List[Optional[float]]] = []
-        for name in names:
-            totals = by_name.get(name)
-            if totals is None:
-                backend = self._backends[name]
-                fast = getattr(backend, "simulate_stack_totals", None)
-                distinct = sorted(set(lengths))
-                if callable(fast) and len(distinct) > 1:
-                    stack = self.stacked_table(distinct, include)
-                    totals = {
-                        n: (None if oom else t)
-                        for n, (t, oom) in zip(stack.lengths, fast(stack))
-                    }
-                else:
-                    totals = {}
-                    for n in distinct:
-                        report = self.simulate(n, backend=name, include_recycles=include)
-                        totals[n] = None if report.out_of_memory else report.total_seconds
-                by_name[name] = totals
-            out.append([totals[n] for n in lengths])
-        return out
+        for name in dict.fromkeys(names):
+            by_name[name] = {
+                n: (None if oom else t)
+                for n, (t, oom) in zip(
+                    stack.lengths, self._backends[name].simulate_stack_totals(stack)
+                )
+            }
+        return [[by_name[name][n] for n in lengths] for name in names]
 
     # -------------------------------------------------------------- accounting
     def stats(self) -> Dict[str, object]:

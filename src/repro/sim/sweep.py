@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..ppm.config import PPMConfig
-from ..ppm.op_table import StackedOperatorTable
-from .backend import SimReport, create_backend, supports_stacking
+from .backend import SimReport, create_backend
 from .session import SimulationSession
 
 #: Environment variable supplying a default worker count for :func:`sweep`.
@@ -78,31 +77,21 @@ def _worker_session(ppm_config: PPMConfig, include_recycles: bool) -> Simulation
     return session
 
 
-def _simulate_point(args: Tuple[Optional[PPMConfig], bool, Any, int]) -> SimReport:
-    """Evaluate one sweep point (runs in the parent or in a pool worker)."""
-    ppm_config, include_recycles, spec, sequence_length = args
-    backend = create_backend(spec, ppm_config)
-    session = _worker_session(backend.ppm_config, include_recycles)
-    return backend.simulate_table(session.table(sequence_length))
-
-
 def _simulate_group(
     args: Tuple[Optional[PPMConfig], bool, Any, Tuple[int, ...]]
 ) -> List[SimReport]:
-    """Evaluate every length of one backend spec, stacked when the backend can.
+    """Price every length of one backend spec in one stacked pass.
 
-    Returns reports aligned with the ``lengths`` tuple.  Stacked and per-table
-    evaluation are bit-identical, so grouping is purely a performance choice.
+    Returns reports aligned with the ``lengths`` tuple.  The stack comes from
+    the worker session (memo, disk cache, process LRU), so the groups of a
+    sweep that share a length set share one stack.  Every report is
+    bit-identical to pricing its length alone.
     """
     ppm_config, include_recycles, spec, lengths = args
     backend = create_backend(spec, ppm_config)
     session = _worker_session(backend.ppm_config, include_recycles)
-    distinct = sorted(set(lengths))
-    if len(distinct) > 1 and supports_stacking(backend):
-        stack = StackedOperatorTable.from_tables([session.table(n) for n in distinct])
-        by_length = dict(zip(distinct, backend.simulate_stack(stack)))
-    else:
-        by_length = {n: backend.simulate_table(session.table(n)) for n in distinct}
+    stack = session.stacked_table(lengths)
+    by_length = dict(zip(stack.lengths, backend.simulate_stack(stack)))
     return [by_length[n] for n in lengths]
 
 

@@ -1,13 +1,13 @@
 """Stacked multi-length operator tables (PR 7): invariants, goldens, parity.
 
-Three independent implementations must agree on every latency number:
+Two independent implementations must agree on every latency number:
 
 * the **legacy per-operator loop** (``simulate_workload_legacy``) — the
   original reference engine,
-* the **per-length columnar path** (``simulate_table``) — one table per
-  length,
-* the **stacked path** (``simulate_stack`` / ``simulate_stack_totals``) —
-  one ragged table, one vectorized pass over a whole traffic mix.
+* the **stacked engine** (``simulate_stack`` / ``simulate_stack_totals``) —
+  one ragged table, one vectorized pass over a whole traffic mix.  One
+  length (``simulate_table``) is a one-segment stack, and must price as
+  that length does inside any mix.
 
 The stacked path must reproduce the pinned goldens of
 :mod:`test_sim_goldens` on every registered backend, the totals-only fast
@@ -17,6 +17,7 @@ plus shape-bucket boundaries keeps the batching layers honest.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.cluster import (
     poisson_trace,
     prefetch_service_times,
 )
+from repro.cluster.fleet import MultiChipVariant
 from repro.gpu.gpu_config import get_gpu
 from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
 from repro.ppm.op_table import StackedOperatorTable
@@ -47,6 +49,9 @@ from repro.sim.backend import GPUBackend
 RELATIVE_TOLERANCE = 1e-9
 MIX = (16, 24, 48, 72)
 TIMEOUT = 120.0
+
+#: A multi-chip node: composes over its inner backend's stacked pass.
+MULTI_CHIP = MultiChipVariant(base="h100-chunk", chips=2)
 
 #: Columns whose stacked concatenation must slice back to the per-length
 #: arrays bytewise (everything a backend reads during evaluation).
@@ -80,6 +85,15 @@ def approx_equal(a: float, b: float) -> bool:
 
 def legacy_report(backend, config: PPMConfig, n: int):
     """The pre-columnar per-operator loop behind ``backend`` for length ``n``."""
+    inner = getattr(backend, "inner", None)
+    if inner is not None:
+        # A multi-chip node: the inner loop's total split over the chips,
+        # plus the interconnect time.
+        single = legacy_report(inner, config, n).total_seconds
+        return SimpleNamespace(
+            total_seconds=single * (1.0 / backend.chips)
+            + backend.communication_seconds(n)
+        )
     workload = get_workload(config, n)
     simulator = getattr(backend, "simulator", None)
     if simulator is not None:
@@ -198,8 +212,8 @@ class TestStackedGoldens:
 class TestThreeWayParity:
     def test_stacked_per_length_legacy_agree_on_every_backend(self, config):
         stack = get_stacked_table(config, MIX)
-        for backend_name in available_backends():
-            backend = create_backend(backend_name, config)
+        for spec in (*available_backends(), MULTI_CHIP):
+            backend = create_backend(spec, config)
             stacked = backend.simulate_stack(stack)
             for n, seg in zip(stack.lengths, stacked):
                 one = backend.simulate_table(get_op_table(config, n))
@@ -217,8 +231,8 @@ class TestThreeWayParity:
         # The totals-only path skips report assembly but must produce the
         # *identical* floats — `==`, not a tolerance.
         stack = get_stacked_table(config, MIX)
-        for backend_name in available_backends():
-            backend = create_backend(backend_name, config)
+        for spec in (*available_backends(), MULTI_CHIP):
+            backend = create_backend(spec, config)
             assert backend.simulate_stack_totals(stack) == [
                 (r.total_seconds, r.out_of_memory)
                 for r in backend.simulate_stack(stack)
@@ -237,9 +251,16 @@ class TestBatchTotalSeconds:
                 session.simulate(n, backend=name).total_seconds for n in lengths
             ]
 
-    def test_single_distinct_length_uses_per_length_fallback(self, config, session):
+    def test_single_distinct_length_prices_one_segment_stack(self, config, session):
         totals = session.batch_total_seconds([32, 32], backends=["lightnobel"])
         assert totals == [[session.simulate(32, backend="lightnobel").total_seconds] * 2]
+
+    def test_read_only_on_every_backend(self, config):
+        # Nothing is seeded into the report memo, the multi-chip node included.
+        for spec in ("h100-chunk", MULTI_CHIP):
+            session = SimulationSession(ppm_config=config, use_disk_cache=False)
+            session.batch_total_seconds([16, 24, 48], backends=[spec])
+            assert session.stats()["reports_in_memory"] == 0
 
     def test_oom_lengths_map_to_none(self, config):
         # Shrink an H100's HBM until only the shorter half of the mix fits;
