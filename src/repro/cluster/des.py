@@ -14,13 +14,15 @@ The split keeps replay cheap and bit-deterministic:
    :class:`~repro.serving.service.LatencyService`, or sharded across
    :func:`repro.sim.sweep.sweep` with ``workers > 1``) — the only stage that
    touches a simulator.
-2. **Replay** — a pure-Python event loop over a heap of arrivals,
-   completions and (when closed-loop features are on) crash / recovery /
-   retry / scale events.  Ties break on (time, kind, sequence) and idle
-   workers are claimed lowest-id-first, so a given (trace, fleet, policy,
-   faults, controllers) tuple replays to the bit-identical
-   :class:`ClusterReport` on every run, machine and process — the property
-   the golden tests pin.
+2. **Replay** — one pure-Python event loop that merges the arrivals, in a
+   stable time sort of the trace, with a small heap of completions and (when
+   closed-loop features are on) crash / recovery / retry / scale events.
+   Ties break on (time, kind, sequence) and idle workers are claimed
+   lowest-id-first, so a given (trace, fleet, policy, faults, controllers)
+   tuple replays to the bit-identical :class:`ClusterReport` on every run,
+   machine and process — the property the golden tests pin.
+   :func:`replay_trace` skips the per-request :class:`RequestOutcome`
+   records that :func:`replay_trace_outcomes` builds.
 
 Requests whose backend reports out-of-memory at their length are *dropped*
 (counted, and counted against SLO attainment), never silently served.
@@ -64,8 +66,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from math import inf
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from ..obs.timeline import TimelineRecorder
@@ -91,6 +95,10 @@ if TYPE_CHECKING:  # service routing is optional; avoid an import cycle at runti
 #: comes back at t serves traffic arriving at t); retries land after
 #: arrivals (a requeued request queues behind a same-instant fresh arrival);
 #: autoscaler ticks observe everything else that happened at their instant.
+#: Arrivals never enter the heap: the loop merges the time-sorted trace with
+#: it, taking the heap top first iff its (time, kind) sorts before
+#: (next arrival time, ``_ARRIVAL``) — the same order, trace position
+#: standing in for the sequence number among same-instant arrivals.
 _COMPLETION, _RECOVER, _CRASH, _SCALE_UP, _ARRIVAL, _RETRY, _AUTOSCALE = range(7)
 
 
@@ -365,26 +373,12 @@ def replay_trace(
     Perfetto export.  Recording is append-only observation — the report is
     bit-identical with or without it.
     """
-    report, _ = replay_trace_outcomes(
-        trace,
-        fleet,
-        scheduler=scheduler,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        workers=workers,
-        dispatch_overhead_seconds=dispatch_overhead_seconds,
-        same_length_reuse_discount=same_length_reuse_discount,
-        service_times=service_times,
-        faults=faults,
-        recovery=recovery,
-        admission=admission,
-        autoscaler=autoscaler,
-        communication_times=communication_times,
-        router=router,
-        timeline=timeline,
+    return _replay(
+        trace, fleet, scheduler, ppm_config, session, service, workers,
+        dispatch_overhead_seconds, same_length_reuse_discount, service_times,
+        faults, recovery, admission, autoscaler, communication_times, router,
+        timeline, None,
     )
-    return report
 
 
 def replay_trace_outcomes(
@@ -407,6 +401,27 @@ def replay_trace_outcomes(
     timeline: Optional[TimelineRecorder] = None,
 ) -> Tuple[ClusterReport, Tuple[RequestOutcome, ...]]:
     """:func:`replay_trace` plus the per-request :class:`RequestOutcome` log."""
+    outcomes: List[RequestOutcome] = []
+    report = _replay(
+        trace, fleet, scheduler, ppm_config, session, service, workers,
+        dispatch_overhead_seconds, same_length_reuse_discount, service_times,
+        faults, recovery, admission, autoscaler, communication_times, router,
+        timeline, outcomes,
+    )
+    return report, tuple(outcomes)
+
+
+def _replay(
+    trace, fleet, scheduler, ppm_config, session, service, workers,
+    dispatch_overhead_seconds, same_length_reuse_discount, service_times,
+    faults, recovery, admission, autoscaler, communication_times, router,
+    timeline, outcomes: Optional[List[RequestOutcome]],
+) -> ClusterReport:
+    """The one event loop behind both entry points (arguments as there).
+
+    Per-request :class:`RequestOutcome` records are appended to ``outcomes``
+    when it is a list, and never built when it is ``None``.
+    """
     if not 0.0 <= same_length_reuse_discount < 1.0:
         raise ValueError("same_length_reuse_discount must be in [0, 1)")
     if faults is not None and not faults:
@@ -457,7 +472,7 @@ def replay_trace_outcomes(
         }
     # Per-group queue-depth signal for multi-group autoscaling: a queued
     # request counts toward every group that could serve its length.  The
-    # single-group path keeps reading len(policy) directly (bit-compat).
+    # single-group path reads the whole queue length instead (bit-compat).
     queued_feasible: Optional[List[int]] = None
     feasible_of: Optional[Dict[int, Tuple[int, ...]]] = None
     if autoscalers is not None and num_groups > 1:
@@ -474,11 +489,8 @@ def replay_trace_outcomes(
             )
             for n in trace.distinct_lengths()
         }
-    if (
-        faults is not None
-        and faults.degraded_links
-        and communication_times is None
-    ):
+    degraded_links = faults is not None and bool(faults.degraded_links)
+    if degraded_links and communication_times is None:
         cfg = ppm_config
         if cfg is None and session is not None:
             cfg = session.ppm_config
@@ -499,50 +511,59 @@ def replay_trace_outcomes(
             group_of=tuple(group_of),
         )
 
+    # The heap holds only completions and control events, a few per worker;
+    # arrivals merge in from the time-sorted trace (see the event kinds).
+    arrivals = sorted(trace.requests, key=attrgetter("arrival_seconds"))
+    num_arrivals = len(arrivals)
+    next_index = 0
+    next_arrival = arrivals[0].arrival_seconds if arrivals else inf
+    heappush, heappop = heapq.heappush, heapq.heappop
     events: List[Tuple[float, int, int, object]] = []
     counter = 0
-    for request in trace:
-        heapq.heappush(
-            events, (request.arrival_seconds, _ARRIVAL, counter, request)
-        )
-        counter += 1
-    if faults is not None:
-        for crash in faults.crashes:
-            if crash.worker_id < num_workers:
-                heapq.heappush(
-                    events, (crash.at_seconds, _CRASH, counter, crash)
-                )
-                counter += 1
-    #: Non-tick events pending in the heap — the autoscaler's "is there
-    #: still anything to react to" signal (ticks never count themselves,
-    #: or the loop would self-sustain forever).
-    pending_non_tick = counter
+    for crash in faults.crashes if faults is not None else ():
+        if crash.worker_id < num_workers:
+            heappush(events, (crash.at_seconds, _CRASH, counter, crash))
+            counter += 1
+    #: Non-tick events still to come, unconsumed arrivals included — the
+    #: autoscaler's "is there still anything to react to" signal (ticks
+    #: never count themselves, or the loop would self-sustain forever).
+    pending_non_tick = num_arrivals + counter
     if autoscalers is not None:
-        heapq.heappush(
-            events, (first_scaler.interval_seconds, _AUTOSCALE, counter, None)
-        )
+        heappush(events, (first_scaler.interval_seconds, _AUTOSCALE, counter, None))
         counter += 1
+    #: Straggler-window edges not yet crossed, latest first.  The straggling
+    #: set only changes at an edge (windows are half-open and event time
+    #: never decreases), so it is recomputed when the clock crosses one.
+    stragglers = faults.stragglers if faults is not None else ()
+    edges = sorted(
+        {t for w in stragglers for t in (w.start_seconds, w.end_seconds)}, reverse=True
+    )
+    next_edge = edges.pop() if edges else inf
+    straggling: frozenset = frozenset()
 
     idle: List[int] = list(range(num_workers))  # kept sorted (lowest id first)
     busy_seconds = [0.0] * num_workers
     last_length: List[Optional[int]] = [None] * num_workers
     health: List[WorkerHealth] = [WorkerHealth.HEALTHY] * num_workers
-    generation = [0] * num_workers  # bumped per crash; stale-completion guard
     warmup_extra = [0.0] * num_workers
     provision_start = [0.0] * num_workers
-    running: Dict[int, Tuple[object, float, float]] = {}  # worker -> (req, start, finish)
+    #: worker -> its (worker, request, start, finish) service, or None.  The
+    #: completion event carries the same tuple, so a completion whose entry
+    #: is no longer running was orphaned by a crash.
+    running: List[Optional[Tuple[int, object, float, float]]] = [None] * num_workers
     down_since: Dict[int, float] = {}
     attempts: Dict[int, int] = {}  # request id -> crash-requeues so far
 
-    outcomes: List[RequestOutcome] = []
     latencies: List[float] = []
     waits: List[float] = []
     met_by_priority: Dict[int, int] = {}
-    total_by_priority: Dict[int, int] = {}
+    #: Attainment base per class: every request ends once, served or dropped.
+    total_by_priority = Counter(r.priority for r in arrivals)
     shed_by_priority: Dict[int, int] = {}
     completed = dropped = deadlines_missed = 0
     retried = shed = oom_dropped = failed = 0
     events_processed = 0
+    queue_length = 0  # len(policy), kept locally
     max_queue_depth = 0
     queue_depth_sum = 0
     last_time = trace.duration_seconds
@@ -555,12 +576,14 @@ def replay_trace_outcomes(
     recent_met: deque = deque(
         maxlen=first_scaler.attainment_window if autoscalers else 1
     )
+    prefer_shape = same_length_reuse_discount > 0.0
+    reuse_factor = 1.0 - same_length_reuse_discount
+    push, pop = policy.push, policy.pop
 
     def note_queued(request, sign: int) -> None:
         """Maintain the per-group feasible-queue counters (multi-group only)."""
-        if queued_feasible is not None:
-            for qgi in feasible_of[request.sequence_length]:
-                queued_feasible[qgi] += sign
+        for qgi in feasible_of[request.sequence_length]:
+            queued_feasible[qgi] += sign
 
     def record_drop(request, now: float, reason: str, start: Optional[float] = None) -> None:
         nonlocal dropped, deadlines_missed, shed, oom_dropped, failed
@@ -574,329 +597,303 @@ def replay_trace_outcomes(
             oom_dropped += 1
         else:  # "failed" or "starved" — the lost-to-the-fleet bucket
             failed += 1
-        total_by_priority[request.priority] = (
-            total_by_priority.get(request.priority, 0) + 1
-        )
         if request.deadline_seconds is not None:
             deadlines_missed += 1
         if autoscalers is not None:
             recent_met.append(0)
-        outcomes.append(
-            RequestOutcome(
-                request_id=request.id,
-                sequence_length=request.sequence_length,
-                priority=request.priority,
-                arrival_seconds=request.arrival_seconds,
-                start_seconds=start if start is not None else now,
-                finish_seconds=now,
-                met_deadline=False,
-                dropped=True,
-                drop_reason=reason,
-                retries=attempts.get(request.id, 0),
-            )
-        )
+        if outcomes is not None:
+            outcomes.append(RequestOutcome(
+                request.id, request.sequence_length, request.priority,
+                request.arrival_seconds, now if start is None else start, now,
+                False, True, reason, attempts.get(request.id, 0),
+            ))
         if timeline is not None:
             timeline.drop(now, request.id, reason)
 
-    def dispatch(now: float) -> None:
-        nonlocal counter, in_flight, pending_non_tick
-        straggling = faults.straggling_workers(now) if faults is not None else frozenset()
-        #: Popped requests whose feasible groups are all busy (routed mode):
-        #: requeued after the drain so they keep their queue position and the
-        #: scheduler can offer the *next* request to the still-idle workers.
-        deferred: List = []
-        while idle and len(policy):
-            request = policy.pop(now)
-            note_queued(request, -1)
-            if pref_of is not None:
-                prefs = pref_of[request.sequence_length]
-                if not prefs:
-                    # No group in the fleet can ever hold this length.
-                    record_drop(request, now, "oom")
-                    continue
-                worker = None
-                for candidate_group in prefs:
-                    tier = [w for w in idle if group_of[w] == candidate_group]
-                    if tier:
-                        worker = select_worker(
-                            tier,
-                            request.sequence_length,
-                            last_length,
-                            same_length_reuse_discount > 0.0,
-                            straggling,
-                        )
-                        idle.remove(worker)
-                        break
-                if worker is None:
-                    deferred.append(request)
-                    continue
-                gi = group_of[worker]
-                seconds = service_times[(gi, request.sequence_length)]
-            else:
-                worker = select_worker(
-                    idle,
-                    request.sequence_length,
-                    last_length,
-                    same_length_reuse_discount > 0.0,
-                    straggling,
-                )
-                gi = group_of[worker]
-                seconds = service_times[(gi, request.sequence_length)]
-                if seconds is None:
-                    # The claimed worker's group cannot serve this length;
-                    # the group-oblivious baseline drops it (pass ``router=``
-                    # to retry other groups).  The worker itself stays idle.
-                    insort(idle, worker)
-                    record_drop(request, now, "oom")
-                    continue
-            if last_length[worker] == request.sequence_length:
-                seconds *= 1.0 - same_length_reuse_discount
-            last_length[worker] = request.sequence_length
-            if faults is not None:
-                slowdown = faults.slowdown_at(worker, now)
-                if slowdown != 1.0:
-                    seconds *= slowdown
-                link_factor = faults.link_factor_at(gi, now)
-                if link_factor < 1.0 and communication_times is not None:
-                    comm = communication_times[(gi, request.sequence_length)]
-                    seconds += comm * (1.0 / link_factor - 1.0)
-            extra = warmup_extra[worker]
-            if extra:
-                warmup_extra[worker] = 0.0
-            if health[worker] is WorkerHealth.WARMING:
-                health[worker] = WorkerHealth.HEALTHY
-            start = now
-            finish = start + dispatch_overhead_seconds + seconds + extra
-            busy_seconds[worker] += dispatch_overhead_seconds + seconds + extra
-            running[worker] = (request, start, finish)
-            in_flight += 1
-            heapq.heappush(
-                events,
-                (finish, _COMPLETION, counter,
-                 (worker, generation[worker], request, start)),
-            )
-            counter += 1
-            pending_non_tick += 1
-            if timeline is not None:
-                timeline.dispatch(
-                    start, finish, worker, request.id, request.sequence_length
-                )
-        # Reversed so repeated requeue-at-head restores the original order.
-        for request in reversed(deferred):
-            policy.requeue(request)
-            note_queued(request, 1)
-
-    while events:
-        time_now, kind, _, payload = heapq.heappop(events)
-        if kind != _AUTOSCALE:
+    while True:
+        # The next event: the heap top iff (time, kind) sorts before
+        # (next_arrival, _ARRIVAL) — the (time, kind, sequence) tie order.
+        if next_index < num_arrivals and (
+            not events
+            or next_arrival < events[0][0]
+            or (next_arrival == events[0][0] and events[0][1] > _ARRIVAL)
+        ):
+            time_now = next_arrival
+            request = arrivals[next_index]
+            next_index += 1
+            if next_index < num_arrivals:
+                next_arrival = arrivals[next_index].arrival_seconds
             pending_non_tick -= 1
-        if kind == _COMPLETION:
-            worker, gen, request, start = payload
-            if gen != generation[worker]:
-                continue  # the worker crashed mid-service; the crash handled it
-        events_processed += 1
-        if kind in (_COMPLETION, _ARRIVAL, _RETRY):
-            # Control-plane events (crashes, recoveries, scale changes,
-            # ticks) move state but not the clock the makespan reads — a
-            # restart long after the last request must not inflate it.
-            last_time = max(last_time, time_now)
-        if kind == _ARRIVAL:
+            # No makespan update: it starts at the latest arrival already.
             if timeline is not None:
                 timeline.arrival(
-                    time_now, payload.id, payload.sequence_length, payload.priority
+                    time_now, request.id, request.sequence_length, request.priority
                 )
             if admission is not None and not admission.admits(
-                payload.priority, len(policy)
+                request.priority, queue_length
             ):
-                record_drop(payload, time_now, "shed")
+                record_drop(request, time_now, "shed")
             else:
-                policy.push(payload)
-                note_queued(payload, 1)
-        elif kind == _RETRY:
-            if timeline is not None:
-                timeline.retry(time_now, payload.id)
-            policy.push(payload)  # retries bypass admission: already accepted
-            note_queued(payload, 1)
-        elif kind == _COMPLETION:
-            running.pop(worker, None)
-            in_flight -= 1
-            insort(idle, worker)
-            completed += 1
-            latency = time_now - request.arrival_seconds
-            latencies.append(latency)
-            waits.append(start - request.arrival_seconds)
-            met = (
-                request.deadline_seconds is None
-                or time_now <= request.deadline_seconds + 1e-12
-            )
-            if not met:
-                deadlines_missed += 1
-            total_by_priority[request.priority] = (
-                total_by_priority.get(request.priority, 0) + 1
-            )
-            if met:
-                met_by_priority[request.priority] = (
-                    met_by_priority.get(request.priority, 0) + 1
-                )
-            if autoscalers is not None:
-                recent_met.append(1 if met else 0)
-            outcomes.append(
-                RequestOutcome(
-                    request_id=request.id,
-                    sequence_length=request.sequence_length,
-                    priority=request.priority,
-                    arrival_seconds=request.arrival_seconds,
-                    start_seconds=start,
-                    finish_seconds=time_now,
-                    met_deadline=met,
-                    retries=attempts.get(request.id, 0),
-                )
-            )
-            if timeline is not None:
-                timeline.complete(time_now, worker, request.id, met)
-        elif kind == _CRASH:
-            crash = payload
-            w = crash.worker_id
-            if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
-                health[w] = WorkerHealth.DEAD
-                generation[w] += 1
-                down_since[w] = time_now
+                push(request)
+                queue_length += 1
+                if queued_feasible is not None:
+                    note_queued(request, 1)
+        elif events:
+            time_now, kind, _, payload = heappop(events)
+            if kind != _AUTOSCALE:
+                pending_non_tick -= 1
+            if kind == _COMPLETION:
+                worker, request, start, _ = payload
+                if running[worker] is not payload:
+                    continue  # the worker crashed mid-service; the crash handled it
+                if time_now > last_time:
+                    last_time = time_now
+                running[worker] = None
+                in_flight -= 1
+                insort(idle, worker)
+                completed += 1
+                latencies.append(time_now - request.arrival_seconds)
+                waits.append(start - request.arrival_seconds)
+                deadline = request.deadline_seconds
+                met = deadline is None or time_now <= deadline + 1e-12
+                priority = request.priority
+                if met:
+                    met_by_priority[priority] = met_by_priority.get(priority, 0) + 1
+                else:
+                    deadlines_missed += 1
+                if autoscalers is not None:
+                    recent_met.append(1 if met else 0)
+                if outcomes is not None:
+                    outcomes.append(RequestOutcome(
+                        request.id, request.sequence_length, priority,
+                        request.arrival_seconds, start, time_now, met,
+                        retries=attempts.get(request.id, 0),
+                    ))
                 if timeline is not None:
-                    timeline.crash(time_now, w)
-                if w in idle:
-                    idle.remove(w)
-                victim = running.pop(w, None)
-                if victim is not None:
-                    request, start, finish = victim
-                    in_flight -= 1
+                    timeline.complete(time_now, worker, request.id, met)
+            elif kind == _RETRY:
+                if time_now > last_time:
+                    last_time = time_now
+                if timeline is not None:
+                    timeline.retry(time_now, payload.id)
+                push(payload)  # retries bypass admission: already accepted
+                queue_length += 1
+                if queued_feasible is not None:
+                    note_queued(payload, 1)
+            # Control-plane events (crashes, recoveries, scale changes, ticks)
+            # move state but not the clock the makespan reads — a restart
+            # long after the last request must not inflate it.
+            elif kind == _CRASH:
+                crash = payload
+                w = crash.worker_id
+                if health[w] in (WorkerHealth.HEALTHY, WorkerHealth.WARMING):
+                    health[w] = WorkerHealth.DEAD
+                    down_since[w] = time_now
                     if timeline is not None:
-                        timeline.abort(time_now, w, request.id)
-                    busy_seconds[w] -= finish - time_now  # unserved remainder
-                    detect = time_now + crash.detection_lag_seconds
-                    used = attempts.get(request.id, 0)
-                    if recovery.gives_up(used):
-                        record_drop(request, detect, "failed", start=start)
-                    else:
-                        attempts[request.id] = used + 1
-                        retried += 1
-                        heapq.heappush(
-                            events,
-                            (detect + recovery.backoff_seconds(used),
-                             _RETRY, counter, request),
-                        )
+                        timeline.crash(time_now, w)
+                    if w in idle:
+                        idle.remove(w)
+                    victim = running[w]
+                    running[w] = None
+                    if victim is not None:
+                        _, request, start, finish = victim
+                        in_flight -= 1
+                        if timeline is not None:
+                            timeline.abort(time_now, w, request.id)
+                        busy_seconds[w] -= finish - time_now  # unserved remainder
+                        detect = time_now + crash.detection_lag_seconds
+                        used = attempts.get(request.id, 0)
+                        if recovery.gives_up(used):
+                            record_drop(request, detect, "failed", start=start)
+                        else:
+                            attempts[request.id] = used + 1
+                            retried += 1
+                            retry_at = detect + recovery.backoff_seconds(used)
+                            heappush(events, (retry_at, _RETRY, counter, request))
+                            counter += 1
+                            pending_non_tick += 1
+                    if crash.restart_after_seconds is not None:
+                        restart_at = time_now + crash.restart_after_seconds
+                        heappush(events, (restart_at, _RECOVER, counter, crash))
                         counter += 1
                         pending_non_tick += 1
-                if crash.restart_after_seconds is not None:
-                    heapq.heappush(
-                        events,
-                        (time_now + crash.restart_after_seconds,
-                         _RECOVER, counter, crash),
+            elif kind == _RECOVER:
+                crash = payload
+                w = crash.worker_id
+                if health[w] is WorkerHealth.DEAD:
+                    downtime_total += time_now - down_since.pop(w)
+                    warmup_extra[w] = crash.warmup_seconds
+                    health[w] = (
+                        WorkerHealth.WARMING if crash.warmup_seconds > 0
+                        else WorkerHealth.HEALTHY
                     )
-                    counter += 1
-                    pending_non_tick += 1
-        elif kind == _RECOVER:
-            crash = payload
-            w = crash.worker_id
-            if health[w] is WorkerHealth.DEAD:
-                downtime_total += time_now - down_since.pop(w)
-                warmup_extra[w] = crash.warmup_seconds
-                health[w] = (
-                    WorkerHealth.WARMING if crash.warmup_seconds > 0
-                    else WorkerHealth.HEALTHY
-                )
-                last_length[w] = None  # restarted cold: no shape to reuse
+                    last_length[w] = None  # restarted cold: no shape to reuse
+                    insort(idle, w)
+                    if timeline is not None:
+                        timeline.recover(time_now, w)
+            elif kind == _SCALE_UP:
+                up_group = payload if payload is not None else 0
+                pending_up[up_group] -= 1
+                w = len(group_of)
+                group_of.append(up_group)
+                busy_seconds.append(0.0)
+                last_length.append(None)
+                health.append(WorkerHealth.HEALTHY)
+                warmup_extra.append(0.0)
+                provision_start.append(time_now)
+                running.append(None)
+                active_count += 1
+                peak_fleet = max(peak_fleet, active_count)
                 insort(idle, w)
                 if timeline is not None:
-                    timeline.recover(time_now, w)
-        elif kind == _SCALE_UP:
-            up_group = payload if payload is not None else 0
-            pending_up[up_group] -= 1
-            w = len(group_of)
-            group_of.append(up_group)
-            busy_seconds.append(0.0)
-            last_length.append(None)
-            health.append(WorkerHealth.HEALTHY)
-            generation.append(0)
-            warmup_extra.append(0.0)
-            provision_start.append(time_now)
-            active_count += 1
-            peak_fleet = max(peak_fleet, active_count)
-            insort(idle, w)
-            if timeline is not None:
-                timeline.scale_up(time_now, w, up_group)
-        elif kind == _AUTOSCALE:
-            if timeline is not None:
-                timeline.autoscale(time_now)
-            window = len(recent_met)
-            attainment = sum(recent_met) / window if window else 1.0
-            for gi_scale, scaler in enumerate(autoscalers):
-                if num_groups == 1:
-                    # The homogeneous signals of PR 6, bit-for-bit: whole
-                    # queue, whole fleet.
-                    depth_signal = len(policy)
-                    alive = sum(
-                        1 for h in health
-                        if h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
+                    timeline.scale_up(time_now, w, up_group)
+            else:  # _AUTOSCALE
+                if timeline is not None:
+                    timeline.autoscale(time_now)
+                window = len(recent_met)
+                attainment = sum(recent_met) / window if window else 1.0
+                for gi_scale, scaler in enumerate(autoscalers):
+                    # A single group reads the whole queue.
+                    depth_signal = (
+                        queue_length if queued_feasible is None
+                        else queued_feasible[gi_scale]
                     )
-                else:
-                    depth_signal = queued_feasible[gi_scale]
                     alive = sum(
                         1 for w, h in enumerate(health)
                         if group_of[w] == gi_scale
                         and h in (WorkerHealth.HEALTHY, WorkerHealth.WARMING)
                     )
-                delta = scaler.desired_delta(
-                    depth_signal, alive, pending_up[gi_scale], attainment
-                )
-                if delta > 0:
-                    arrive = time_now + scaler.scale_up_lag_seconds
-                    for _ in range(delta):
-                        heapq.heappush(
-                            events, (arrive, _SCALE_UP, counter, gi_scale)
-                        )
-                        counter += 1
-                        pending_non_tick += 1
-                        pending_up[gi_scale] += 1
-                elif delta < 0:
-                    # Retire idle healthy workers only, highest id first —
-                    # never a busy, warming, or dead one (a dead worker may
-                    # still owe a restart; retiring it would double-account
-                    # its lifetime).
-                    retirable = [
-                        w for w in reversed(idle)
-                        if health[w] is WorkerHealth.HEALTHY
-                        and group_of[w] == gi_scale
-                    ][:-delta]
-                    for w in retirable:
-                        idle.remove(w)
-                        health[w] = WorkerHealth.RETIRED
-                        provisioned_done[gi_scale] += (
-                            time_now - provision_start[w]
-                        )
-                        active_count -= 1
-                        if timeline is not None:
-                            timeline.retire(time_now, w)
-            if pending_non_tick > 0 or len(policy) > 0 or in_flight > 0:
-                heapq.heappush(
-                    events,
-                    (time_now + first_scaler.interval_seconds,
-                     _AUTOSCALE, counter, None),
-                )
+                    delta = scaler.desired_delta(
+                        depth_signal, alive, pending_up[gi_scale], attainment
+                    )
+                    if delta > 0:
+                        arrive = time_now + scaler.scale_up_lag_seconds
+                        for _ in range(delta):
+                            heappush(events, (arrive, _SCALE_UP, counter, gi_scale))
+                            counter += 1
+                            pending_non_tick += 1
+                            pending_up[gi_scale] += 1
+                    elif delta < 0:
+                        # Retire idle healthy workers only, highest id first —
+                        # never a busy, warming, or dead one (a dead worker may
+                        # still owe a restart; retiring it would double-account
+                        # its lifetime).
+                        retirable = [
+                            w for w in reversed(idle)
+                            if health[w] is WorkerHealth.HEALTHY
+                            and group_of[w] == gi_scale
+                        ][:-delta]
+                        for w in retirable:
+                            idle.remove(w)
+                            health[w] = WorkerHealth.RETIRED
+                            provisioned_done[gi_scale] += (
+                                time_now - provision_start[w]
+                            )
+                            active_count -= 1
+                            if timeline is not None:
+                                timeline.retire(time_now, w)
+                if pending_non_tick > 0 or queue_length > 0 or in_flight > 0:
+                    tick_at = time_now + first_scaler.interval_seconds
+                    heappush(events, (tick_at, _AUTOSCALE, counter, None))
+                    counter += 1
+        else:
+            break
+        events_processed += 1
+
+        # Dispatch: hand queued requests to idle workers.
+        if idle and queue_length:
+            if time_now >= next_edge:
+                while edges and edges[-1] <= time_now:
+                    edges.pop()
+                next_edge = edges.pop() if edges else inf
+                straggling = faults.straggling_workers(time_now)
+            #: Popped requests whose feasible groups are all busy (routed
+            #: mode): requeued after the drain so they keep their queue
+            #: position and the scheduler can offer the *next* request to
+            #: the still-idle workers.
+            deferred: List = []
+            while idle and queue_length:
+                request = pop(time_now)
+                queue_length -= 1
+                length = request.sequence_length
+                if queued_feasible is not None:
+                    note_queued(request, -1)
+                if pref_of is not None:
+                    prefs = pref_of[length]
+                    if not prefs:
+                        # No group in the fleet can ever hold this length.
+                        record_drop(request, time_now, "oom")
+                        continue
+                    worker = None
+                    for candidate_group in prefs:
+                        tier = [w for w in idle if group_of[w] == candidate_group]
+                        if tier:
+                            worker = select_worker(
+                                tier, length, last_length, prefer_shape, straggling
+                            )
+                            idle.remove(worker)
+                            break
+                    if worker is None:
+                        deferred.append(request)
+                        continue
+                    gi = group_of[worker]
+                    seconds = service_times[(gi, length)]
+                else:
+                    worker = select_worker(
+                        idle, length, last_length, prefer_shape, straggling
+                    )
+                    gi = group_of[worker]
+                    seconds = service_times[(gi, length)]
+                    if seconds is None:
+                        # The claimed worker's group cannot serve this length;
+                        # the group-oblivious baseline drops it (pass
+                        # ``router=`` to retry other groups).  The worker
+                        # itself stays idle.
+                        insort(idle, worker)
+                        record_drop(request, time_now, "oom")
+                        continue
+                if last_length[worker] == length:
+                    seconds *= reuse_factor
+                last_length[worker] = length
+                if worker in straggling:
+                    seconds *= faults.slowdown_at(worker, time_now)
+                if degraded_links:
+                    link_factor = faults.link_factor_at(gi, time_now)
+                    if link_factor < 1.0:
+                        comm = communication_times[(gi, length)]
+                        seconds += comm * (1.0 / link_factor - 1.0)
+                extra = warmup_extra[worker]
+                if extra:  # the first service after a warm restart
+                    warmup_extra[worker] = 0.0
+                    health[worker] = WorkerHealth.HEALTHY
+                finish = time_now + dispatch_overhead_seconds + seconds + extra
+                busy_seconds[worker] += dispatch_overhead_seconds + seconds + extra
+                entry = (worker, request, time_now, finish)
+                running[worker] = entry
+                in_flight += 1
+                heappush(events, (finish, _COMPLETION, counter, entry))
                 counter += 1
-        dispatch(time_now)
-        depth = len(policy)
-        max_queue_depth = max(max_queue_depth, depth)
-        queue_depth_sum += depth
+                pending_non_tick += 1
+                if timeline is not None:
+                    timeline.dispatch(time_now, finish, worker, request.id, length)
+            # Reversed so repeated requeue-at-head restores the original order.
+            for request in reversed(deferred):
+                policy.requeue(request)
+                queue_length += 1
+                if queued_feasible is not None:
+                    note_queued(request, 1)
+        if queue_length > max_queue_depth:
+            max_queue_depth = queue_length
+        queue_depth_sum += queue_length
         if timeline is not None:
-            timeline.queue_depth(time_now, depth)
+            timeline.queue_depth(time_now, queue_length)
 
     makespan = last_time
     # Requests still queued were starved: every worker (routed mode: every
     # worker of their feasible groups) is dead with no restart coming, or
     # retired, so nothing will ever serve them.
-    while len(policy):
-        request = policy.pop(makespan)
-        record_drop(request, makespan, "starved")
+    for _ in range(queue_length):
+        record_drop(pop(makespan), makespan, "starved")
     for w, since in down_since.items():
         downtime_total += max(0.0, makespan - since)
     total_workers = len(group_of)
@@ -909,29 +906,21 @@ def replay_trace_outcomes(
         )
         for g in range(num_groups)
     ]
-    provisioned_total = (
-        provisioned_by_group[0]
-        if num_groups == 1
-        else sum(provisioned_by_group)
-    )
+    provisioned_total = sum(provisioned_by_group)
 
     requests = len(trace)
     utilization = {}
     for index, label in enumerate(labels):
         members = [w for w, g in enumerate(group_of) if g == index]
         busy = sum(busy_seconds[w] for w in members)
-        if autoscalers is None:
-            capacity = len(members) * makespan
-        else:
-            capacity = provisioned_by_group[index]
+        capacity = (
+            len(members) * makespan if autoscalers is None else provisioned_by_group[index]
+        )
         utilization[label] = busy / capacity if capacity > 0 else 0.0
 
     if autoscalers is None:
-        cost = (
-            fleet.cost_per_hour * (makespan / 3600.0) / completed * 1e6
-            if completed
-            else 0.0
-        )
+        hourly = fleet.cost_per_hour
+        cost = hourly * (makespan / 3600.0) / completed * 1e6 if completed else 0.0
         worker_hours = num_workers * makespan / 3600.0
         mean_fleet = float(num_workers)
     else:
@@ -946,7 +935,7 @@ def replay_trace_outcomes(
         mean_fleet = provisioned_total / makespan if makespan > 0 else float(num_workers)
 
     attained = sum(met_by_priority.values())
-    report = ClusterReport(
+    return ClusterReport(
         trace_name=trace.name,
         fleet_name=fleet.name,
         policy=scheduler_name(scheduler),
@@ -989,4 +978,3 @@ def replay_trace_outcomes(
         worker_hours=worker_hours,
         shed_by_priority=dict(sorted(shed_by_priority.items())),
     )
-    return report, tuple(outcomes)

@@ -531,6 +531,65 @@ class TestReplayDeterminism:
         assert by_id[2].finish_seconds == pytest.approx(12.75)
 
 
+class TestEventTieOrder:
+    """Same-instant events replay in (time, kind, trace position) order.
+
+    Arrivals stream from the trace rather than through the event heap, so
+    these pin the tie-breaks the merge must reproduce on hand-built traces
+    (every instant is an exact binary fraction, so ties are exact).
+    """
+
+    def test_arrival_at_a_completion_instant_is_served_at_that_instant(self):
+        trace = RequestTrace(
+            name="tie", seed=0, offered_rps=1.0,
+            requests=(_request(0, 32), _request(1, 32, arrival=1.0)),
+        )
+        report, outcomes = replay_trace_outcomes(
+            trace, FleetSpec.homogeneous("lightnobel", 1),
+            service_times={(0, 32): 1.0},
+        )
+        assert [o.request_id for o in outcomes] == [0, 1]
+        assert outcomes[1].start_seconds == 1.0
+        # The completion frees the worker before the arrival is queued, so
+        # the arrival never waits in the queue.
+        assert report.max_queue_depth == 0
+
+    def test_out_of_order_trace_replays_in_stable_time_order(self):
+        # Trace position, not request id, breaks the tie at t=1.0.
+        trace = RequestTrace(
+            name="unsorted", seed=0, offered_rps=1.0,
+            requests=(
+                _request(5, 32, arrival=1.0),
+                _request(1, 32, arrival=0.0),
+                _request(3, 32, arrival=1.0),
+                _request(0, 32, arrival=2.0),
+            ),
+        )
+        report, outcomes = replay_trace_outcomes(
+            trace, FleetSpec.homogeneous("lightnobel", 1),
+            service_times={(0, 32): 0.75},
+        )
+        assert [o.request_id for o in outcomes] == [1, 5, 3, 0]
+        assert [o.start_seconds for o in outcomes] == [0.0, 1.0, 1.75, 2.5]
+        assert report.makespan_seconds == 3.25
+        assert replay_trace(
+            trace, FleetSpec.homogeneous("lightnobel", 1),
+            service_times={(0, 32): 0.75},
+        ) == report
+
+    def test_empty_trace(self):
+        trace = RequestTrace(name="empty", requests=(), seed=0, offered_rps=0.0)
+        fleet = FleetSpec.homogeneous("lightnobel", 2)
+        report, outcomes = replay_trace_outcomes(trace, fleet, service_times={})
+        assert outcomes == ()
+        assert report == replay_trace(trace, fleet, service_times={})
+        assert (report.requests, report.completed, report.dropped) == (0, 0, 0)
+        assert report.events_processed == 0
+        assert report.makespan_seconds == 0.0
+        assert report.slo_attainment == 0.0
+        assert report.per_priority_attainment == {}
+
+
 # -------------------------------------------------------- policy invariants
 class TestPolicyInvariants:
     def test_neutral_traffic_makes_every_policy_fifo(self, tiny_session):

@@ -44,6 +44,7 @@ from repro.cluster import (
     SLOPolicy,
     StragglerWindow,
     WorkerCrash,
+    WorkerGroup,
     WorkerHealth,
     diurnal_trace,
     mixture_lengths,
@@ -57,6 +58,7 @@ from repro.cluster import (
     robust_minimal_fleet,
     scenario_suite,
 )
+from repro.obs.timeline import TimelineRecorder
 from repro.ppm import PPMConfig
 from repro.sim import SimulationSession
 
@@ -383,6 +385,73 @@ class TestCrashSemantics:
         assert report.downtime_seconds == pytest.approx(1.5)
 
 
+# ---------------------------------------------------------------- tie order
+class TestEventTieOrder:
+    """Control events against arrivals at one instant (exact binary times).
+
+    Recoveries and scale-ups land before a same-instant arrival (capacity
+    that returns at t serves traffic arriving at t); retries and autoscaler
+    ticks land after it.  A queued-then-served arrival would leave a
+    nonzero ``max_queue_depth`` even when its start time is unchanged.
+    """
+
+    def test_arrival_at_a_recovery_instant_is_served_at_that_instant(self):
+        # The idle worker dies at 0.5 and is back at exactly 2.0.
+        faults = FaultSchedule(crashes=(
+            WorkerCrash(0, at_seconds=0.5, restart_after_seconds=1.5),
+        ))
+        report, outcomes = replay_trace_outcomes(
+            micro_trace([2.0]), micro_fleet(1), service_times=dict(MICRO_TIMES),
+            faults=faults,
+        )
+        assert outcomes[0].start_seconds == 2.0
+        assert report.max_queue_depth == 0
+
+    def test_arrival_at_a_scale_up_instant_is_served_at_that_instant(self):
+        # The first tick (0.5) sees one worker under a two-worker floor and
+        # requests one more, arriving at exactly 1.0 while worker 0 is busy.
+        scaler = Autoscaler(min_workers=2, max_workers=2, interval_seconds=0.5,
+                            scale_up_lag_seconds=0.5)
+        report, outcomes = replay_trace_outcomes(
+            micro_trace([0.0, 1.0]), micro_fleet(1), service_times={(0, 32): 4.0},
+            autoscaler=scaler,
+        )
+        by_id = {o.request_id: o for o in outcomes}
+        assert by_id[1].start_seconds == 1.0
+        assert report.max_queue_depth == 0
+        assert report.peak_fleet_size == 2
+
+    def test_retry_at_an_arrival_instant_queues_behind_the_arrival(self):
+        # req0 dies with its worker at 0.5 (restart 0.75) and retries at
+        # exactly 1.0, when req1 arrives: req1 takes the idle worker first.
+        faults = FaultSchedule(crashes=(
+            WorkerCrash(0, at_seconds=0.5, restart_after_seconds=0.25,
+                        detection_lag_seconds=0.0),
+        ))
+        report, outcomes = replay_trace_outcomes(
+            micro_trace([0.0, 1.0]), micro_fleet(1), service_times=dict(MICRO_TIMES),
+            faults=faults, recovery=RecoveryPolicy(backoff_base_seconds=0.5),
+        )
+        assert [o.request_id for o in outcomes] == [1, 0]
+        assert [o.start_seconds for o in outcomes] == [1.0, 2.0]
+        assert outcomes[1].retries == 1 and report.retried == 1
+
+    def test_autoscaler_tick_at_an_arrival_instant_sees_the_arrival(self):
+        # The tick at exactly 1.0 counts req1 (queued behind busy worker 0)
+        # and scales up by 1.5; a tick ordered first would wait until 2.0.
+        scaler = Autoscaler(min_workers=1, max_workers=2, interval_seconds=1.0,
+                            scale_up_queue_per_worker=0.5,
+                            scale_down_queue_per_worker=0.25,
+                            scale_up_lag_seconds=0.5)
+        report, outcomes = replay_trace_outcomes(
+            micro_trace([0.0, 1.0]), micro_fleet(1), service_times={(0, 32): 4.0},
+            autoscaler=scaler,
+        )
+        by_id = {o.request_id: o for o in outcomes}
+        assert by_id[1].start_seconds == 1.5
+        assert report.peak_fleet_size == 2
+
+
 # --------------------------------------------------------- admission control
 class TestAdmissionControl:
     def test_depth_limits_scale_with_priority(self):
@@ -594,6 +663,69 @@ class TestDeterminism:
             faults=NO_FAULTS, recovery=RecoveryPolicy(), admission=ADMIT_ALL,
         )
         assert plain == closed
+
+    @given(
+        seed=st.integers(min_value=0, max_value=30),
+        policy=st.sampled_from(["fifo", "sjf", "bucketed", "edf"]),
+        faulty=st.booleans(),
+        admission=st.booleans(),
+        autoscaled=st.booleans(),
+        routed=st.booleans(),
+        recorded=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_report_without_outcomes_matches_the_outcome_replay(
+        self, seed, policy, faulty, admission, autoscaled, routed, recorded
+    ):
+        # replay_trace skips the per-request records; its report must not
+        # move by a bit in any mode of the loop.
+        pool, weights = mixture_lengths(PINNED_MIX)
+        trace = poisson_trace(
+            rate_rps=200.0, num_requests=120, length_pool=pool,
+            length_weights=weights, slo=PINNED_SLO, seed=seed,
+        )
+        if routed:
+            # A cheap group that cannot hold the longest length.
+            fleet = FleetSpec(groups=(
+                WorkerGroup("h100", 2, cost_per_hour=8.0),
+                WorkerGroup("a100", 2, cost_per_hour=3.0),
+            ))
+            times = {(0, n): 0.004 + n * 1e-5 for n, _ in PINNED_MIX}
+            times.update({(1, n): 0.003 + n * 2e-5 for n, _ in PINNED_MIX})
+            times[(1, 160)] = None
+        else:
+            fleet = micro_fleet(3)
+            times = {(0, n): 0.004 + n * 1e-5 for n, _ in PINNED_MIX}
+        kwargs = dict(service_times=times, same_length_reuse_discount=0.25)
+        if faulty:
+            kwargs["faults"] = FaultSchedule.generate(
+                fleet.num_workers, trace.duration_seconds, seed=seed,
+                mean_downtime_seconds=0.05, mean_straggle_seconds=0.05,
+                degraded_link_groups=(0,),
+            )
+            kwargs["recovery"] = RecoveryPolicy(backoff_base_seconds=0.005)
+            kwargs["communication_times"] = {
+                (gi, n): 0.001 for gi in range(len(fleet.groups)) for n, _ in PINNED_MIX
+            }
+        if admission:
+            kwargs["admission"] = AdmissionController(max_queue_depth=12)
+        if autoscaled:
+            kwargs["autoscaler"] = Autoscaler(
+                min_workers=1, max_workers=4, interval_seconds=0.05,
+                scale_up_lag_seconds=0.02, slo_target=0.95,
+            )
+        if routed:
+            kwargs["router"] = "cost-greedy"
+        bare_timeline = TimelineRecorder() if recorded else None
+        full_timeline = TimelineRecorder() if recorded else None
+        report = replay_trace(trace, fleet, policy, timeline=bare_timeline, **kwargs)
+        full, outcomes = replay_trace_outcomes(
+            trace, fleet, policy, timeline=full_timeline, **kwargs
+        )
+        assert report == full
+        assert len(outcomes) == report.requests
+        if recorded:
+            assert bare_timeline.events == full_timeline.events
 
 
 # ------------------------------------------------------------------ goldens

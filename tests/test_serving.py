@@ -108,7 +108,9 @@ class TestCoalescing:
             ]
         )
         assert service.queue_depth() == 2
-        service.close(wait=False)
+        # Wait for the late-started drain: left running, it would price
+        # these jobs inside the next test's monkeypatched sim counter.
+        service.close()
 
     def test_late_duplicate_is_a_memo_hit(self, config, count_accelerator_sims):
         with make_service(config) as service:
