@@ -32,11 +32,6 @@ Factories follow the repo-wide ``create_*`` convention
 :func:`repro.cluster.trace.create_trace`): :func:`create_service` is the
 keyword-for-keyword twin of the :class:`LatencyService` constructor.
 
-Internal helpers that used to leak through this facade —
-``dispatch_order_key``, ``length_bucket`` (:mod:`repro.serving.api`) and
-``percentile`` (:mod:`repro.serving.stats`) — still import here but raise a
-:class:`DeprecationWarning`; import them from their home modules.
-
 Usage
 -----
 Synchronous convenience path::
@@ -69,8 +64,6 @@ Figure entry points (``latency_breakdown``, ``compare_hardware_on_lengths``,
 ``hardware_dse``, ``EndToEndComparison``) accept ``service=`` to route their
 latency numbers through one shared service instance.
 """
-
-import warnings
 
 from .api import (
     BackendServiceStats,
@@ -106,26 +99,3 @@ __all__ = [
     "WireResponse",
     "create_service",
 ]
-
-#: Names that used to be exported here -> (home module, attribute).
-_DEPRECATED = {
-    "dispatch_order_key": ("repro.serving.api", "dispatch_order_key"),
-    "length_bucket": ("repro.serving.api", "length_bucket"),
-    "percentile": ("repro.serving.stats", "percentile"),
-}
-
-
-def __getattr__(name):
-    moved = _DEPRECATED.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = moved
-    warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; "
-        f"import it from {module_name!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)

@@ -46,6 +46,7 @@ so a socket client observes exactly the in-process semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
@@ -125,8 +126,8 @@ class LatencyRequest:
     def __post_init__(self) -> None:
         if int(self.sequence_length) <= 0:
             raise ValueError("sequence_length must be positive")
-        if self.deadline_seconds is not None and float(self.deadline_seconds) <= 0:
-            raise ValueError("deadline_seconds must be positive (or None)")
+        if self.deadline_seconds is not None and not 0 < float(self.deadline_seconds) < math.inf:
+            raise ValueError("deadline_seconds must be positive and finite (or None)")
         if self.trace_id is not None and not str(self.trace_id):
             raise ValueError("trace_id must be a non-empty string (or None)")
 

@@ -77,6 +77,7 @@ from ..wire import (
     WireFormatError,
     WireRequest,
     WireResponse,
+    _parse_json,
     backend_stats_to_dict,
     capacity_report_to_dict,
     request_log_to_json,
@@ -537,7 +538,7 @@ class LatencyFrontDoor:
         )
 
     def _handle_batch(self, request: _HttpRequest) -> _Response:
-        payload = json.loads(request.body.decode("utf-8")) if request.body else None
+        payload = _parse_json(request.body, "batch body") if request.body else None
         if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
             raise WireFormatError(
                 "invalid_field", 'batch body must be {"requests": [WireRequest, ...]}'

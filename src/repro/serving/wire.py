@@ -23,28 +23,37 @@ contract* those types serialize through — the schema the HTTP front door
   :func:`sim_report_to_dict` / :func:`sim_report_from_dict` — all lossless
   round trips, all carrying ``schema_version``.
 
-Validation is strict: unknown fields, wrong types, non-positive lengths and
-unsupported schema versions raise :class:`WireFormatError` with a stable
-``code``, which the HTTP layer maps to a 400 with the same code in the
-:class:`ErrorBody`.  A payload without ``schema_version`` is read as the
-current :data:`SCHEMA_VERSION` (curl-friendliness); a payload with a
-*different* version is rejected rather than half-parsed.
+Every type goes through one codec.  At import, each wire dataclass gets a
+field plan derived from ``dataclasses.fields()`` and its type hints (``int``,
+``float``, ``bool``, ``str``, ``Optional[...]``, ``Mapping[str, float]``, a
+nested wire dataclass, ``Tuple[nested, ...]``), refined by a small rule
+table for what a hint cannot say (minimums, positive finite floats, fields
+the wire requires).  One encoder and one decoder walk the plans.
+
+Validation is strict: unknown fields, wrong types, non-positive lengths,
+non-finite deadlines and unsupported schema versions raise
+:class:`WireFormatError` with a stable ``code``, which the HTTP layer maps
+to a 400 with the same code in the :class:`ErrorBody`.  A payload without
+``schema_version`` is read as the current :data:`SCHEMA_VERSION`
+(curl-friendliness); a payload with a *different* version is rejected rather
+than half-parsed.  A field the dataclass gives a default may be omitted; one
+without a default may not, except an ``Optional`` field (read as ``null``)
+and a nested object (read as ``{}``).
 """
 
 from __future__ import annotations
 
+import collections.abc
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from ..sim.backend import SimReport
-from .api import (
-    BackendServiceStats,
-    CapacityReport,
-    LatencyRequest,
-    LatencyResponse,
-    RequestLogRecord,
-)
+from .api import BackendServiceStats, CapacityReport, RequestLogRecord
+from .api import LatencyRequest, LatencyResponse
 
 #: Version of the wire schema.  Bump when a field changes meaning or shape;
 #: additive optional fields do not require a bump.
@@ -66,70 +75,8 @@ class WireFormatError(ValueError):
         self.message = message
 
 
-# ------------------------------------------------------------------ validators
-def _require_dict(payload: Any, what: str) -> Dict[str, Any]:
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            "invalid_field", f"{what} must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
-def _check_fields(payload: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
-    for key in payload:
-        if key not in allowed:
-            raise WireFormatError("unknown_field", f"{what} does not accept field {key!r}")
-
-
-def _check_version(payload: Mapping[str, Any], what: str) -> int:
-    version = payload.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise WireFormatError(
-            "unsupported_schema_version",
-            f"{what} schema_version must be {SCHEMA_VERSION}, got {version!r}",
-        )
-    return version
-
-
-def _as_int(value: Any, field: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireFormatError("invalid_field", f"{field} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise WireFormatError("invalid_field", f"{field} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireFormatError("invalid_field", f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_optional_positive_float(value: Any, field: str) -> Optional[float]:
-    if value is None:
-        return None
-    result = _as_float(value, field)
-    if result <= 0:
-        raise WireFormatError("invalid_field", f"{field} must be positive, got {value!r}")
-    return result
-
-
-def _as_optional_bool(value: Any, field: str) -> Optional[bool]:
-    if value is None or isinstance(value, bool):
-        return value
-    raise WireFormatError("invalid_field", f"{field} must be a boolean, got {value!r}")
-
-
-def _as_str(value: Any, field: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise WireFormatError("invalid_field", f"{field} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _as_optional_str(value: Any, field: str) -> Optional[str]:
-    if value is None:
-        return None
-    return _as_str(value, field)
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_to_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _parse_json(text: Any, what: str) -> Any:
@@ -144,15 +91,43 @@ def _parse_json(text: Any, what: str) -> Any:
         raise WireFormatError("invalid_json", f"{what} is not valid JSON: {exc}") from None
 
 
-# ------------------------------------------------------------------- ErrorBody
+class _WireType:
+    """``to_dict``/``to_json``/``from_dict``/``from_json`` through the codec."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return _PLANS[type(self)].encode(self)
+
+    def to_json(self) -> str:
+        return _to_json(_PLANS[type(self)].encode(self))
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> Any:
+        return _decode(_PLANS[cls], payload)
+
+    @classmethod
+    def from_json(cls, text: Any) -> Any:
+        return _decode(_PLANS[cls], _parse_json(text, cls.__name__))
+
+
+# ------------------------------------------------------------------ wire types
 @dataclass(frozen=True)
-class ErrorBody:
+class ErrorBody(_WireType):
     """The body of every non-2xx HTTP response.
 
-    ``code`` is stable and machine-readable (the same codes
-    :class:`WireFormatError` carries, plus the HTTP layer's own:
-    ``"backpressure"``, ``"unknown_ticket"``, ``"already_consumed"``,
-    ``"reaped"``, ``"draining"``, ``"not_found"``, ``"timeout"``);
+    ``code`` is stable and machine-readable.  Besides the
+    :class:`WireFormatError` codes (400), the HTTP front door emits:
+
+    * ``"invalid_request"`` (400) — a well-formed request the service
+      rejected (``ValueError``/``RuntimeError``);
+    * ``"not_found"`` (404) — no such route;
+    * ``"unknown_ticket"``, ``"already_consumed"`` (404) and ``"reaped"``
+      (410) — ticket lifecycle;
+    * ``"unknown_trace"``, ``"tracing_disabled"`` (404) — ``/v1/trace/<id>``;
+    * ``"payload_too_large"`` (413);
+    * ``"backpressure"`` (429) — the tenant's bounded queue is full;
+    * ``"internal_error"`` (500);
+    * ``"draining"`` (503) — the server is shutting down.
+
     ``retry_after_seconds`` accompanies 429s, mirroring the ``Retry-After``
     header for clients that only read bodies.
     """
@@ -162,43 +137,9 @@ class ErrorBody:
     retry_after_seconds: Optional[float] = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "code": self.code,
-            "message": self.message,
-            "retry_after_seconds": self.retry_after_seconds,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ErrorBody":
-        payload = _require_dict(payload, "ErrorBody")
-        _check_fields(
-            payload,
-            ("schema_version", "code", "message", "retry_after_seconds"),
-            "ErrorBody",
-        )
-        version = _check_version(payload, "ErrorBody")
-        return cls(
-            code=_as_str(payload.get("code"), "code"),
-            message=_as_str(payload.get("message"), "message"),
-            retry_after_seconds=_as_optional_positive_float(
-                payload.get("retry_after_seconds"), "retry_after_seconds"
-            ),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "ErrorBody":
-        return cls.from_dict(_parse_json(text, "ErrorBody"))
-
-
-# ----------------------------------------------------------------- WireRequest
 @dataclass(frozen=True)
-class WireRequest:
+class WireRequest(_WireType):
     """One latency query as it crosses the socket.
 
     The wire twin of :class:`~repro.serving.api.LatencyRequest` plus
@@ -223,17 +164,6 @@ class WireRequest:
     tenant: str = "default"
     trace_id: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
-
-    _FIELDS = (
-        "schema_version",
-        "backend",
-        "sequence_length",
-        "include_recycles",
-        "priority",
-        "deadline_seconds",
-        "tenant",
-        "trace_id",
-    )
 
     def to_latency(self) -> LatencyRequest:
         """The in-process request (drops ``tenant``; validates in __post_init__)."""
@@ -270,101 +200,9 @@ class WireRequest:
             trace_id=request.trace_id,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "backend": self.backend,
-            "sequence_length": self.sequence_length,
-            "include_recycles": self.include_recycles,
-            "priority": self.priority,
-            "deadline_seconds": self.deadline_seconds,
-            "tenant": self.tenant,
-            "trace_id": self.trace_id,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WireRequest":
-        payload = _require_dict(payload, "WireRequest")
-        _check_fields(payload, cls._FIELDS, "WireRequest")
-        version = _check_version(payload, "WireRequest")
-        if "sequence_length" not in payload:
-            raise WireFormatError("missing_field", "WireRequest requires sequence_length")
-        return cls(
-            backend=_as_str(payload.get("backend", "lightnobel"), "backend"),
-            sequence_length=_as_int(payload["sequence_length"], "sequence_length", minimum=1),
-            include_recycles=_as_optional_bool(
-                payload.get("include_recycles"), "include_recycles"
-            ),
-            priority=_as_int(payload.get("priority", 0), "priority"),
-            deadline_seconds=_as_optional_positive_float(
-                payload.get("deadline_seconds"), "deadline_seconds"
-            ),
-            tenant=_as_str(payload.get("tenant", "default"), "tenant"),
-            trace_id=_as_optional_str(payload.get("trace_id"), "trace_id"),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "WireRequest":
-        return cls.from_dict(_parse_json(text, "WireRequest"))
-
-
-# ------------------------------------------------------------------- SimReport
-def sim_report_to_dict(report: SimReport) -> Dict[str, Any]:
-    """JSON-able dict of a :class:`~repro.sim.backend.SimReport` (lossless)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "backend": report.backend,
-        "sequence_length": int(report.sequence_length),
-        "total_seconds": float(report.total_seconds),
-        "phase_seconds": {str(k): float(v) for k, v in report.phase_seconds.items()},
-        "subphase_seconds": {str(k): float(v) for k, v in report.subphase_seconds.items()},
-        "out_of_memory": bool(report.out_of_memory),
-        "details": {str(k): float(v) for k, v in report.details.items()},
-    }
-
-
-def sim_report_from_dict(payload: Mapping[str, Any]) -> SimReport:
-    payload = _require_dict(payload, "SimReport")
-    _check_fields(
-        payload,
-        (
-            "schema_version",
-            "backend",
-            "sequence_length",
-            "total_seconds",
-            "phase_seconds",
-            "subphase_seconds",
-            "out_of_memory",
-            "details",
-        ),
-        "SimReport",
-    )
-    _check_version(payload, "SimReport")
-    if not isinstance(payload.get("out_of_memory", False), bool):
-        raise WireFormatError("invalid_field", "out_of_memory must be a boolean")
-
-    def _float_map(name: str) -> Dict[str, float]:
-        mapping = _require_dict(payload.get(name, {}), f"SimReport.{name}")
-        return {_as_str(k, f"{name} key"): _as_float(v, f"{name}[{k!r}]") for k, v in mapping.items()}
-
-    return SimReport(
-        backend=_as_str(payload.get("backend"), "backend"),
-        sequence_length=_as_int(payload.get("sequence_length"), "sequence_length", minimum=1),
-        total_seconds=_as_float(payload.get("total_seconds"), "total_seconds"),
-        phase_seconds=_float_map("phase_seconds"),
-        subphase_seconds=_float_map("subphase_seconds"),
-        out_of_memory=bool(payload.get("out_of_memory", False)),
-        details=_float_map("details"),
-    )
-
-
-# ---------------------------------------------------------------- WireResponse
 @dataclass(frozen=True)
-class WireResponse:
+class WireResponse(_WireType):
     """One fulfilled (or failed) request as it crosses the socket.
 
     The wire twin of :class:`~repro.serving.api.LatencyResponse`: the ticket
@@ -383,18 +221,6 @@ class WireResponse:
     service_seconds: float = 0.0
     completed_index: int = -1
     schema_version: int = SCHEMA_VERSION
-
-    _FIELDS = (
-        "schema_version",
-        "ticket_id",
-        "request",
-        "report",
-        "error",
-        "coalesced",
-        "queue_seconds",
-        "service_seconds",
-        "completed_index",
-    )
 
     @property
     def ok(self) -> bool:
@@ -427,192 +253,267 @@ class WireResponse:
             completed_index=self.completed_index,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "ticket_id": self.ticket_id,
-            "request": self.request.to_dict(),
-            "report": None if self.report is None else sim_report_to_dict(self.report),
-            "error": self.error,
-            "coalesced": self.coalesced,
-            "queue_seconds": float(self.queue_seconds),
-            "service_seconds": float(self.service_seconds),
-            "completed_index": self.completed_index,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+@dataclass(frozen=True)
+class _RequestLog:
+    """The ``GET /v1/log`` envelope around a list of log records."""
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WireResponse":
-        payload = _require_dict(payload, "WireResponse")
-        _check_fields(payload, cls._FIELDS, "WireResponse")
-        version = _check_version(payload, "WireResponse")
-        error = payload.get("error")
-        if error is not None and not isinstance(error, str):
-            raise WireFormatError("invalid_field", "error must be a string or null")
-        report = payload.get("report")
-        return cls(
-            ticket_id=_as_int(payload.get("ticket_id"), "ticket_id", minimum=0),
-            request=WireRequest.from_dict(payload.get("request", {})),
-            report=None if report is None else sim_report_from_dict(report),
-            error=error,
-            coalesced=bool(_as_optional_bool(payload.get("coalesced", False), "coalesced")),
-            queue_seconds=_as_float(payload.get("queue_seconds", 0.0), "queue_seconds"),
-            service_seconds=_as_float(payload.get("service_seconds", 0.0), "service_seconds"),
-            completed_index=_as_int(payload.get("completed_index", -1), "completed_index"),
-            schema_version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: Any) -> "WireResponse":
-        return cls.from_dict(_parse_json(text, "WireResponse"))
+    records: Tuple[RequestLogRecord, ...] = ()
 
 
-# -------------------------------------------------------------- CapacityReport
+# ------------------------------------------------------------------ rule table
+#: What a type hint cannot say about a wire field, keyed by field name.
+_MINIMUM = {"sequence_length": 1, "ticket_id": 0, "requests": 0}
+#: Floats that must be positive and finite (or null, being Optional).
+_POSITIVE_FINITE = frozenset({"deadline_seconds", "retry_after_seconds"})
+#: Strings that may be empty; every other string must not be.
+_MAY_BE_EMPTY = frozenset({"error"})
+#: Fields the wire requires although the dataclass gives them a default.
+_REQUIRED = {WireRequest: ("sequence_length",)}
+#: Types whose payload carries no ``schema_version`` (rows nested in another).
+_UNVERSIONED = frozenset({BackendServiceStats})
+#: Fields decoded before (-1) or after (+1) the rest, so that a payload with
+#: several faults reports the same one first as the hand-written decoders did.
+_DECODE_ORDER = {"error": -1, "backends": 1}
+
+
+# ----------------------------------------------------------------- field plans
+def _invalid(message: str) -> WireFormatError:
+    return WireFormatError("invalid_field", message)
+
+
+def _require_dict(payload: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(payload, dict):
+        raise _invalid(f"{what} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _as_str(name: str, may_be_empty: bool = False) -> Callable[[Any], str]:
+    def decode(value: Any) -> str:
+        if not isinstance(value, str) or not (value or may_be_empty):
+            kind = "a string" if may_be_empty else "a non-empty string"
+            raise _invalid(f"{name} must be {kind}, got {value!r}")
+        return value
+
+    return decode
+
+
+def _as_int(name: str) -> Callable[[Any], int]:
+    minimum = _MINIMUM.get(name)
+
+    def decode(value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _invalid(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise _invalid(f"{name} must be >= {minimum}, got {value!r}")
+        return value
+
+    return decode
+
+
+def _as_float(name: str) -> Callable[[Any], float]:
+    positive = name in _POSITIVE_FINITE
+
+    def decode(value: Any) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _invalid(f"{name} must be a number, got {value!r}")
+        value = float(value)
+        if positive and not 0.0 < value < math.inf:
+            raise _invalid(f"{name} must be positive and finite, got {value!r}")
+        return value
+
+    return decode
+
+
+def _as_bool(name: str) -> Callable[[Any], bool]:
+    def decode(value: Any) -> bool:
+        if not isinstance(value, bool):
+            raise _invalid(f"{name} must be a boolean, got {value!r}")
+        return value
+
+    return decode
+
+
+def _as_float_map(name: str) -> Callable[[Any], Dict[str, float]]:
+    key, number = _as_str(f"{name} key"), _as_float(name)
+
+    def decode(value: Any) -> Dict[str, float]:
+        return {key(k): number(v) for k, v in _require_dict(value, name).items()}
+
+    return decode
+
+
+def _field_codec(name: str, hint: Any) -> Tuple[Callable, Optional[Callable]]:
+    """``(decode, encode)`` of one non-Optional field; ``encode`` None passes through."""
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        plan = _plan(hint)
+        return partial(_decode, plan), plan.encode
+    if origin is tuple:
+        plan = _plan(args[0])
+        decode_row, encode_row = partial(_decode, plan), plan.encode
+
+        def decode_rows(value: Any) -> tuple:
+            if not isinstance(value, (list, tuple)):
+                raise _invalid(f"{name} must be a list, got {type(value).__name__}")
+            return tuple(map(decode_row, value))
+
+        return decode_rows, lambda value: list(map(encode_row, value))
+    if origin is collections.abc.Mapping:
+        return _as_float_map(name), lambda value: {str(k): float(v) for k, v in value.items()}
+    if hint is str:
+        return _as_str(name, name in _MAY_BE_EMPTY), None
+    scalars = {int: (_as_int, int), float: (_as_float, float), bool: (_as_bool, bool)}
+    make_decode, encode = scalars[hint]
+    return make_decode(name), encode
+
+
+@dataclass(frozen=True)
+class _Plan:
+    cls: type
+    what: str
+    versioned: bool
+    allowed: frozenset
+    required: Tuple[str, ...]
+    #: ``(name, decode, optional, value when absent)``; an absent ``_DEFAULT``
+    #: leaves the field to its dataclass default.
+    decoders: Tuple[Tuple[str, Callable, bool, Any], ...]
+    encode: Callable[[Any], Dict[str, Any]]
+
+
+_DEFAULT = object()
+_PLANS: Dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    if cls in _PLANS:
+        return _PLANS[cls]
+    hints, decoders, encoders = get_type_hints(cls), [], []
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        optional = get_origin(hint) is Union  # Optional[X]
+        if optional:
+            hint = get_args(hint)[0]
+        decode, encode = _field_codec(spec.name, hint)
+        encoders.append((spec.name, encode, optional))
+        if spec.name == "schema_version":
+            continue  # checked up front; the dataclass default is the version
+        if spec.default is not MISSING or spec.default_factory is not MISSING:
+            absent = _DEFAULT
+        else:
+            absent = {} if is_dataclass(hint) else None
+        decoders.append((spec.name, decode, optional, absent))
+    decoders.sort(key=lambda entry: _DECODE_ORDER.get(entry[0], 0))
+    encoders.sort(key=lambda entry: entry[0] != "schema_version")  # the version leads
+    versioned = cls not in _UNVERSIONED
+    names = [name for name, _e, _o in encoders]
+    plan = _Plan(
+        cls=cls,
+        what=cls.__name__.lstrip("_"),
+        versioned=versioned,
+        allowed=frozenset(names).union(["schema_version"] if versioned else []),
+        required=_REQUIRED.get(cls, ()),
+        decoders=tuple(decoders),
+        encode=_compile_encoder(encoders, stamp=versioned and "schema_version" not in names),
+    )
+    _PLANS[cls] = plan
+    return plan
+
+
+# ------------------------------------------------------------------ the codec
+def _compile_encoder(
+    encoders: List[Tuple[str, Optional[Callable], bool]], stamp: bool
+) -> Callable[[Any], Dict[str, Any]]:
+    """Compile ``(name, encode, optional)`` entries into one dict display.
+
+    A loop over the entries costs about three times what a hand-written
+    ``to_dict`` does, so, as :mod:`dataclasses` does for ``__init__``, the
+    plan is compiled once into ``{"name": enc_name(obj.name), ...}``: a
+    ``None`` test goes in front for an Optional field, ``obj.name`` stands
+    alone where the value passes through, and ``stamp`` adds
+    ``schema_version`` for a type that does not carry the field itself.
+    """
+    namespace: Dict[str, Any] = {}
+    entries = [f"'schema_version': {SCHEMA_VERSION}"] if stamp else []
+    for name, encode, optional in encoders:
+        value = f"obj.{name}"
+        if encode is not None:
+            namespace[f"enc_{name}"] = encode
+            value = f"enc_{name}({value})"
+            if optional:
+                value = f"None if obj.{name} is None else {value}"
+        entries.append(f"{name!r}: {value}")
+    exec(f"def encode(obj):\n    return {{{', '.join(entries)}}}\n", namespace)
+    return namespace["encode"]
+
+
+def _decode(plan: _Plan, payload: Any) -> Any:
+    what = plan.what
+    payload = _require_dict(payload, what)
+    if not plan.allowed.issuperset(payload):
+        unknown = next(key for key in payload if key not in plan.allowed)
+        raise WireFormatError("unknown_field", f"{what} does not accept field {unknown!r}")
+    if plan.versioned:
+        version = payload.get("schema_version", SCHEMA_VERSION)
+        if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise WireFormatError(
+                "unsupported_schema_version",
+                f"{what} schema_version must be {SCHEMA_VERSION}, got {version!r}",
+            )
+    for name in plan.required:
+        if name not in payload:
+            raise WireFormatError("missing_field", f"{what} requires {name}")
+    kwargs = {}
+    for name, decode, optional, absent in plan.decoders:
+        value = payload.get(name, absent)
+        if value is not _DEFAULT:
+            kwargs[name] = None if optional and value is None else decode(value)
+    return plan.cls(**kwargs)
+
+
+for _cls in (ErrorBody, WireRequest, WireResponse, CapacityReport, _RequestLog):
+    _plan(_cls)
+
+
+# ------------------------------------------------------- operator-type helpers
+def sim_report_to_dict(report: SimReport) -> Dict[str, Any]:
+    """JSON-able dict of a :class:`~repro.sim.backend.SimReport` (lossless)."""
+    return _PLANS[SimReport].encode(report)
+
+
+def sim_report_from_dict(payload: Mapping[str, Any]) -> SimReport:
+    return _decode(_PLANS[SimReport], payload)
+
+
 def backend_stats_to_dict(row: BackendServiceStats) -> Dict[str, Any]:
-    return {
-        "backend": row.backend,
-        "requests": int(row.requests),
-        "mean_seconds": float(row.mean_seconds),
-        "p50_seconds": float(row.p50_seconds),
-        "p99_seconds": float(row.p99_seconds),
-    }
+    return _PLANS[BackendServiceStats].encode(row)
 
 
 def backend_stats_from_dict(payload: Mapping[str, Any]) -> BackendServiceStats:
-    payload = _require_dict(payload, "BackendServiceStats")
-    _check_fields(
-        payload,
-        ("backend", "requests", "mean_seconds", "p50_seconds", "p99_seconds"),
-        "BackendServiceStats",
-    )
-    return BackendServiceStats(
-        backend=_as_str(payload.get("backend"), "backend"),
-        requests=_as_int(payload.get("requests"), "requests", minimum=0),
-        mean_seconds=_as_float(payload.get("mean_seconds"), "mean_seconds"),
-        p50_seconds=_as_float(payload.get("p50_seconds"), "p50_seconds"),
-        p99_seconds=_as_float(payload.get("p99_seconds"), "p99_seconds"),
-    )
-
-
-_CAPACITY_INT_FIELDS = (
-    "requests",
-    "completed",
-    "errors",
-    "coalesced",
-    "memo_hits",
-    "simulations",
-    "queue_depth",
-    "peak_queue_depth",
-    "timed_out",
-    "late_results",
-    "pool_rebuilds",
-    "stacked_batches",
-    "stacked_points",
-)
-_CAPACITY_FLOAT_FIELDS = ("wall_seconds", "busy_seconds", "queries_per_second")
+    return _decode(_PLANS[BackendServiceStats], payload)
 
 
 def capacity_report_to_dict(report: CapacityReport) -> Dict[str, Any]:
     """JSON-able dict of a :class:`~repro.serving.api.CapacityReport` (lossless)."""
-    payload: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    for name in _CAPACITY_INT_FIELDS:
-        payload[name] = int(getattr(report, name))
-    for name in _CAPACITY_FLOAT_FIELDS:
-        payload[name] = float(getattr(report, name))
-    payload["backends"] = [backend_stats_to_dict(row) for row in report.backends]
-    return payload
+    return _PLANS[CapacityReport].encode(report)
 
 
 def capacity_report_from_dict(payload: Mapping[str, Any]) -> CapacityReport:
-    payload = _require_dict(payload, "CapacityReport")
-    _check_fields(
-        payload,
-        ("schema_version", "backends") + _CAPACITY_INT_FIELDS + _CAPACITY_FLOAT_FIELDS,
-        "CapacityReport",
-    )
-    _check_version(payload, "CapacityReport")
-    rows = payload.get("backends", [])
-    if not isinstance(rows, (list, tuple)):
-        raise WireFormatError("invalid_field", "backends must be a list")
-    kwargs: Dict[str, Any] = {
-        name: _as_int(payload.get(name, 0), name) for name in _CAPACITY_INT_FIELDS
-    }
-    kwargs.update(
-        {name: _as_float(payload.get(name, 0.0), name) for name in _CAPACITY_FLOAT_FIELDS}
-    )
-    kwargs["backends"] = tuple(backend_stats_from_dict(row) for row in rows)
-    return CapacityReport(**kwargs)
-
-
-# ------------------------------------------------------------ RequestLogRecord
-_LOG_FIELDS = (
-    "schema_version",
-    "ticket_id",
-    "backend",
-    "sequence_length",
-    "priority",
-    "deadline_seconds",
-    "arrival_seconds",
-    "outcome",
-    "coalesced",
-    "queue_seconds",
-    "service_seconds",
-    "trace_id",
-)
+    return _decode(_PLANS[CapacityReport], payload)
 
 
 def log_record_to_dict(record: RequestLogRecord) -> Dict[str, Any]:
     """JSON-able dict of a :class:`~repro.serving.api.RequestLogRecord` (lossless)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ticket_id": int(record.ticket_id),
-        "backend": record.backend,
-        "sequence_length": int(record.sequence_length),
-        "priority": int(record.priority),
-        "deadline_seconds": (
-            None if record.deadline_seconds is None else float(record.deadline_seconds)
-        ),
-        "arrival_seconds": float(record.arrival_seconds),
-        "outcome": record.outcome,
-        "coalesced": bool(record.coalesced),
-        "queue_seconds": float(record.queue_seconds),
-        "service_seconds": float(record.service_seconds),
-        "trace_id": record.trace_id,
-    }
+    return _PLANS[RequestLogRecord].encode(record)
 
 
 def log_record_from_dict(payload: Mapping[str, Any]) -> RequestLogRecord:
-    payload = _require_dict(payload, "RequestLogRecord")
-    _check_fields(payload, _LOG_FIELDS, "RequestLogRecord")
-    _check_version(payload, "RequestLogRecord")
-    return RequestLogRecord(
-        ticket_id=_as_int(payload.get("ticket_id"), "ticket_id", minimum=0),
-        backend=_as_str(payload.get("backend"), "backend"),
-        sequence_length=_as_int(payload.get("sequence_length"), "sequence_length", minimum=1),
-        priority=_as_int(payload.get("priority", 0), "priority"),
-        deadline_seconds=_as_optional_positive_float(
-            payload.get("deadline_seconds"), "deadline_seconds"
-        ),
-        arrival_seconds=_as_float(payload.get("arrival_seconds", 0.0), "arrival_seconds"),
-        outcome=_as_str(payload.get("outcome", "ok"), "outcome"),
-        coalesced=bool(_as_optional_bool(payload.get("coalesced", False), "coalesced")),
-        queue_seconds=_as_float(payload.get("queue_seconds", 0.0), "queue_seconds"),
-        service_seconds=_as_float(payload.get("service_seconds", 0.0), "service_seconds"),
-        trace_id=_as_optional_str(payload.get("trace_id"), "trace_id"),
-    )
+    return _decode(_PLANS[RequestLogRecord], payload)
 
 
 def request_log_to_json(records: Sequence[RequestLogRecord]) -> str:
     """Serialize a request log — the ``GET /v1/log`` response body."""
-    return json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "records": [log_record_to_dict(record) for record in records],
-        },
-        sort_keys=True,
-    )
+    return _to_json(_PLANS[_RequestLog].encode(_RequestLog(tuple(records))))
 
 
 def request_log_from_json(text: Any) -> List[RequestLogRecord]:
@@ -621,10 +522,5 @@ def request_log_from_json(text: Any) -> List[RequestLogRecord]:
     The result feeds :meth:`repro.cluster.trace.RequestTrace.from_serving_log`
     directly: live HTTP traffic becomes a replayable cluster trace.
     """
-    payload = _require_dict(_parse_json(text, "request log"), "request log")
-    _check_fields(payload, ("schema_version", "records"), "request log")
-    _check_version(payload, "request log")
-    records = payload.get("records", [])
-    if not isinstance(records, list):
-        raise WireFormatError("invalid_field", "records must be a list")
-    return [log_record_from_dict(record) for record in records]
+    log = _decode(_PLANS[_RequestLog], _parse_json(text, "request log"))
+    return list(log.records)

@@ -171,6 +171,11 @@ class TestValidation:
         assert status == 400
         assert payload["code"] == "invalid_field"
 
+    def test_malformed_batch_is_invalid_json(self, door):
+        status, _, payload = call(door, "POST", "/v1/batch", "{not json")
+        assert status == 400
+        assert payload["code"] == "invalid_json"
+
     def test_unknown_route_404(self, door):
         status, _, payload = call(door, "GET", "/v2/nothing")
         assert status == 404
