@@ -11,8 +11,7 @@ The split keeps replay cheap and bit-deterministic:
 1. **Prefetch** — every distinct (worker-group backend, protein length) pair
    is simulated once through the shared
    :class:`~repro.sim.session.SimulationSession` (or a
-   :class:`~repro.serving.service.LatencyService`, or sharded across
-   :func:`repro.sim.sweep.sweep` with ``workers > 1``) — the only stage that
+   :class:`~repro.serving.service.LatencyService`) — the only stage that
    touches a simulator.
 2. **Replay** — one pure-Python event loop that merges the arrivals, in a
    stable time sort of the trace, with a small heap of completions and (when
@@ -76,7 +75,6 @@ from ..obs.timeline import TimelineRecorder
 from ..ppm.config import PPMConfig
 from ..serving.stats import percentile
 from ..sim.session import SimulationSession, session_for
-from ..sim.sweep import SweepPoint, sweep
 from .control import AdmissionController, Autoscaler
 from .faults import FaultSchedule, RecoveryPolicy
 from .fleet import FleetSpec, MultiChipVariant, WorkerHealth
@@ -186,19 +184,16 @@ def prefetch_service_times(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     length_bucket_size: Optional[int] = None,
 ) -> ServiceTimes:
     """Simulate every distinct (worker-group backend, length) pair once.
 
     With ``service=`` the pairs route through a shared
-    :class:`~repro.serving.service.LatencyService` (its coalescing and worker
-    pool apply); otherwise a session serves them via
-    :meth:`~repro.sim.session.SimulationSession.simulate_batch` — one stacked
-    vectorized pass per backend over the whole length mix (bit-identical to
-    the per-length loop) — optionally warmed by a ``workers``-wide
-    :func:`repro.sim.sweep.sweep` whose reports are seeded back into the
-    session memo/disk cache first.
+    :class:`~repro.serving.service.LatencyService` (its memo and coalescing
+    apply); otherwise a session serves them via
+    :meth:`~repro.sim.session.SimulationSession.batch_total_seconds` — one
+    totals-only stacked pass per backend over the whole length mix
+    (bit-identical to the per-length loop).
 
     ``length_bucket_size`` trades exactness for fewer simulated points: each
     distinct trace length maps to its shape bucket's *longest* member
@@ -227,36 +222,9 @@ def prefetch_service_times(
                 times[(gi, n)] = by_rep[(gi, rep)]
         return times
     session = session_for(ppm_config, session, backends=())
-    if workers is not None and workers > 1:
-        points = [SweepPoint(spec, n) for spec in specs for n in lengths]
-        # The session's recycle setting must reach the sweep workers AND the
-        # seed keys, or a recycles-enabled session would be warmed with (and
-        # then serve) recycle-free reports — breaking pooled ≡ serial parity.
-        reports = sweep(
-            points,
-            ppm_config=session.ppm_config,
-            workers=workers,
-            include_recycles=session.include_recycles,
-        )
-        for point, report in zip(points, reports):
-            session.seed_report(
-                point.backend,
-                point.sequence_length,
-                report,
-                include_recycles=session.include_recycles,
-            )
-        # The pool already paid for full reports; consume them from the memo
-        # rather than re-pricing in-process.
-        batch = session.simulate_batch(lengths, backends=specs)
-        for gi in range(len(specs)):
-            name = batch.backends[gi]
-            for n, rep in representative.items():
-                report = batch.report(name, rep)
-                times[(gi, n)] = None if report.out_of_memory else report.total_seconds
-        return times
-    # In-process: the planner only reads the scalar total per (group, length),
-    # so take the totals-only stacked fast path — one engine pass per backend,
-    # no per-length report assembly.
+    # The planner only reads the scalar total per (group, length), so take
+    # the totals-only stacked path: one engine pass per backend, no
+    # per-length report assembly.
     totals = session.batch_total_seconds(lengths, backends=specs)
     index = {n: j for j, n in enumerate(lengths)}
     for gi in range(len(specs)):
@@ -334,7 +302,6 @@ def replay_trace(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     service_times: Optional[ServiceTimes] = None,
@@ -374,7 +341,7 @@ def replay_trace(
     bit-identical with or without it.
     """
     return _replay(
-        trace, fleet, scheduler, ppm_config, session, service, workers,
+        trace, fleet, scheduler, ppm_config, session, service,
         dispatch_overhead_seconds, same_length_reuse_discount, service_times,
         faults, recovery, admission, autoscaler, communication_times, router,
         timeline, None,
@@ -388,7 +355,6 @@ def replay_trace_outcomes(
     ppm_config: Optional[PPMConfig] = None,
     session: Optional[SimulationSession] = None,
     service: Optional["LatencyService"] = None,
-    workers: Optional[int] = None,
     dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     service_times: Optional[ServiceTimes] = None,
@@ -403,7 +369,7 @@ def replay_trace_outcomes(
     """:func:`replay_trace` plus the per-request :class:`RequestOutcome` log."""
     outcomes: List[RequestOutcome] = []
     report = _replay(
-        trace, fleet, scheduler, ppm_config, session, service, workers,
+        trace, fleet, scheduler, ppm_config, session, service,
         dispatch_overhead_seconds, same_length_reuse_discount, service_times,
         faults, recovery, admission, autoscaler, communication_times, router,
         timeline, outcomes,
@@ -412,7 +378,7 @@ def replay_trace_outcomes(
 
 
 def _replay(
-    trace, fleet, scheduler, ppm_config, session, service, workers,
+    trace, fleet, scheduler, ppm_config, session, service,
     dispatch_overhead_seconds, same_length_reuse_discount, service_times,
     faults, recovery, admission, autoscaler, communication_times, router,
     timeline, outcomes: Optional[List[RequestOutcome]],
@@ -460,7 +426,7 @@ def _replay(
     if service_times is None:
         service_times = prefetch_service_times(
             trace, fleet, ppm_config=ppm_config, session=session,
-            service=service, workers=workers,
+            service=service,
         )
     #: length -> router's group-preference order (None = group-oblivious).
     pref_of: Optional[Dict[int, Tuple[int, ...]]] = None

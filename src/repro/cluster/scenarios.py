@@ -356,7 +356,6 @@ def resilience_experiment(
     scheduler: SchedulerSpec = "edf",
     same_length_reuse_discount: float = 0.25,
     seed: int = 11,
-    workers: Optional[int] = None,
 ) -> ResilienceSummary:
     """Plan a healthy fleet, then break it — and close the loop.
 
@@ -379,7 +378,6 @@ def resilience_experiment(
         ppm_config=ppm_config,
         session=session,
         service=service,
-        workers=workers,
     )
     plan = plan_capacity(
         trace,
@@ -576,7 +574,6 @@ def mixed_fleet_experiment(
     scheduler: SchedulerSpec = "edf",
     router: RouterSpec = "cost-greedy",
     seed: int = 11,
-    workers: Optional[int] = None,
 ) -> MixedFleetSummary:
     """Price mixed fleets against homogeneous ones on long-tail traffic.
 
@@ -598,7 +595,6 @@ def mixed_fleet_experiment(
         ppm_config=ppm_config,
         session=session,
         service=service,
-        workers=workers,
     )
     by_side: dict = {"mixed": [], "homogeneous": []}
     for point in comparison.meeting():

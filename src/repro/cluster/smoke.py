@@ -193,9 +193,7 @@ def _log_replay(cache_dir: str) -> int:
         )
         for i, n in enumerate((24, 48, 96, 24, 48, 96, 24, 48))
     ]
-    service = LatencyService(
-        ppm_config=config, workers=2, cache_dir=cache_dir, autostart=False
-    )
+    service = LatencyService(ppm_config=config, cache_dir=cache_dir, autostart=False)
     tickets = service.submit_batch(requests)
     with service:
         for ticket in tickets:

@@ -2,19 +2,20 @@
 
 A *trace* is every span recorded under one trace ID — usually one request's
 journey through :class:`~repro.serving.service.LatencyService` (queue-wait,
-coalesce/pool-dispatch/simulate, fulfill).  The client supplies the trace ID
-on :class:`~repro.serving.api.LatencyRequest` (or the ``X-Trace-Id`` HTTP
-header) so its own trace continues inside the service; requests without one
-are keyed by their integer ticket ID, so ``GET /v1/trace/<ticket-id>``
-works for every fulfilled request either way.
+coalesce/memo-hit/stacked-simulate/simulate, fulfill).  The client supplies
+the trace ID on :class:`~repro.serving.api.LatencyRequest` (or the
+``X-Trace-Id`` HTTP header) so its own trace continues inside the service;
+requests without one are keyed by their integer ticket ID, so
+``GET /v1/trace/<ticket-id>`` works for every fulfilled request either way.
 
 Design constraints, in order:
 
 1. **Hot-path cost.**  The warm serving path fulfills a request in ~15 µs;
-   tracing rides it at a few hundred nanoseconds by appending one pre-built
-   tuple per request under one lock (:meth:`Tracer.record_batch`).  Span
-   IDs, dataclasses and trees are materialized only at read time — the read
-   path is an HTTP endpoint, not the dispatcher.
+   tracing rides it at well under a microsecond by storing one flat tuple
+   per request, a whole dispatcher batch under one lock
+   (:meth:`Tracer.record_deferred`).  Span tuples, span IDs, dataclasses and
+   trees are materialized only at read time — the read path is an HTTP
+   endpoint, not the dispatcher.
 2. **Bounded memory.**  At most ``max_traces`` traces are held (FIFO
    eviction) and at most ``max_spans_per_trace`` spans accumulate under one
    ID; overflow spans are counted-and-dropped, never grown.
@@ -28,10 +29,10 @@ import itertools
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["Span", "SpanBatch", "Tracer", "new_trace_id"]
 
@@ -92,9 +93,10 @@ class _SpanHandle:
 class Tracer:
     """Bounded trace store; every record call is cheap or a no-op.
 
-    Internal storage per trace is a ``[span_count, entries]`` pair where an
-    entry is either a raw batch (from :meth:`record_batch` — span IDs
-    assigned lazily at read) or an explicit span tuple (from
+    Internal storage per trace is one ``[span_count, *entries]`` list where
+    an entry is a raw batch (from :meth:`record_batch` — span IDs assigned
+    lazily at read), a deferred entry (from :meth:`record_deferred` —
+    expanded into a raw batch at read) or an explicit span tuple (from
     :meth:`record_span`, which allocates an ID eagerly so callers can nest
     under it).
     """
@@ -113,7 +115,9 @@ class Tracer:
         self.max_traces = max_traces
         self.max_spans_per_trace = max_spans_per_trace
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[TraceKey, list]" = OrderedDict()
+        self._traces: Dict[TraceKey, list] = {}
+        #: Trace keys in first-record order, for FIFO eviction.
+        self._order: "deque[TraceKey]" = deque()
         self._ids = itertools.count(1)
         self._dropped_spans = 0
         self._evicted_traces = 0
@@ -129,17 +133,37 @@ class Tracer:
         if not self.enabled:
             return
         with self._lock:
-            bucket = self._traces.get(trace_key)
-            if bucket is None:
-                if len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self._evicted_traces += 1
-                bucket = self._traces[trace_key] = [0, []]
-            if bucket[0] < self.max_spans_per_trace:
-                bucket[0] += len(batch)
-                bucket[1].append(batch)
-            else:
-                self._dropped_spans += len(batch)
+            self._append(trace_key, batch, len(batch))
+
+    def record_deferred(self, entries: Iterable[tuple], spans: int) -> None:
+        """Record many requests' compact entries under one lock acquisition.
+
+        Each entry is a flat ``(expand, trace_key, *fields)`` tuple, where
+        ``expand(entry)`` returns the entry's :data:`SpanBatch` of ``spans``
+        spans; it runs only when the trace is read.  The hot path thus keeps
+        one tuple per request instead of one per span — the serving
+        dispatcher records a whole fulfilled batch this way.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            for entry in entries:
+                self._append(entry[1], entry, spans)
+
+    def _append(self, trace_key: TraceKey, entry: tuple, spans: int) -> None:
+        """Store one entry of ``spans`` spans (caller holds the lock)."""
+        bucket = self._traces.get(trace_key)
+        if bucket is None:
+            if len(self._traces) >= self.max_traces:
+                del self._traces[self._order.popleft()]
+                self._evicted_traces += 1
+            self._traces[trace_key] = [spans, entry]
+            self._order.append(trace_key)
+        elif bucket[0] < self.max_spans_per_trace:
+            bucket[0] += spans
+            bucket.append(entry)
+        else:
+            self._dropped_spans += spans
 
     def record_span(
         self,
@@ -156,17 +180,7 @@ class Tracer:
         span_id = f"{next(self._ids):012x}"
         entry = (span_id, parent_id, name, start_seconds, end_seconds, attributes)
         with self._lock:
-            bucket = self._traces.get(trace_key)
-            if bucket is None:
-                if len(self._traces) >= self.max_traces:
-                    self._traces.popitem(last=False)
-                    self._evicted_traces += 1
-                bucket = self._traces[trace_key] = [0, []]
-            if bucket[0] < self.max_spans_per_trace:
-                bucket[0] += 1
-                bucket[1].append(entry)
-            else:
-                self._dropped_spans += 1
+            self._append(trace_key, entry, 1)
         return span_id
 
     @contextmanager
@@ -196,17 +210,7 @@ class Tracer:
                     dict(handle.attributes) or None,
                 )
                 with self._lock:
-                    bucket = self._traces.get(handle.trace_id)
-                    if bucket is None:
-                        if len(self._traces) >= self.max_traces:
-                            self._traces.popitem(last=False)
-                            self._evicted_traces += 1
-                        bucket = self._traces[handle.trace_id] = [0, []]
-                    if bucket[0] < self.max_spans_per_trace:
-                        bucket[0] += 1
-                        bucket[1].append(entry)
-                    else:
-                        self._dropped_spans += 1
+                    self._append(handle.trace_id, entry, 1)
 
     # -- reads -------------------------------------------------------------
     def find(self, raw_key: str) -> Optional[TraceKey]:
@@ -222,11 +226,13 @@ class Tracer:
         """Materialize every span recorded under ``trace_key`` (may be empty)."""
         with self._lock:
             bucket = self._traces.get(trace_key)
-            entries = list(bucket[1]) if bucket is not None else []
+            entries = bucket[1:] if bucket is not None else []
         spans: List[Span] = []
         trace_str = str(trace_key)
         lazy = itertools.count(1)
         for entry in entries:
+            if callable(entry[0]):  # deferred entry
+                entry = entry[0](entry)
             if entry and isinstance(entry[0], tuple):  # raw batch
                 root_id = f"b{next(lazy):08x}"
                 for i, (name, start, end, attrs) in enumerate(entry):
@@ -301,3 +307,4 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
+            self._order.clear()

@@ -4,7 +4,7 @@ The third layer of the simulation stack: PR 1 made one simulation cheap
 (columnar engine), PR 2 made repeated simulations cheap (sessions, sweeps,
 disk cache), and this package makes *concurrent* simulations cheap — a
 request/response front end that coalesces duplicate in-flight work and
-shards unique work across the sweep process pool.
+prices unique work in stacked passes through one in-process session.
 
 Facade
 ------
@@ -45,7 +45,7 @@ Batch submit/poll with coalescing (duplicates share one simulation)::
 
     from repro.serving import LatencyRequest, create_service
 
-    with create_service(workers=2) as service:
+    with create_service() as service:
         tickets = service.submit_batch(
             [LatencyRequest("h100", 800)] * 16      # -> exactly 1 simulation
             + [("lightnobel", n) for n in (300, 800, 1410)]

@@ -225,9 +225,9 @@ class CapacityReport:
     requests that completed *after* every waiter had timed out on them —
     such responses are stored, counted, and reclaimable via
     :meth:`~repro.serving.service.LatencyService.reap_abandoned`, never
-    silently dropped; ``pool_rebuilds`` counts times the dispatcher replaced
-    a broken worker pool with a fresh one before falling back to serial
-    execution.
+    silently dropped.  ``pool_rebuilds`` is always 0: the service prices in
+    process and has no worker pool to rebuild.  The field stays for wire
+    compatibility (schema version 1 carries it).
 
     Stacked-batch counters: ``stacked_batches`` counts shape-bucketed batches
     the dispatcher priced with one vectorized stacked pass;

@@ -10,30 +10,26 @@ into something that answers concurrent, multi-tenant traffic:
 * **coalescing** — duplicate in-flight (backend, length) queries attach to
   the first one's job, so N identical concurrent requests cost exactly one
   simulation (the NeMo-style same-shape batching, applied to sim points),
-* **shape-bucketed batch admission** — serial-path jobs that share a backend
+* **shape-bucketed batch admission** — memo-missing jobs that share a backend
   spec (and recycles flag) are grouped by length bucket
   (:func:`repro.serving.api.length_bucket`; ``length_bucket_size=None`` =
   one shared bucket) and each multi-length group is priced by **one**
   vectorized stacked pass through
   :meth:`repro.sim.session.SimulationSession.simulate_batch`, seeding the
   shared memo for every member — bit-identical to per-length simulation,
-* **worker pool** — each drained batch of *unique* jobs is evaluated either
-  serially through the shared session (memo + disk cache) or, with
-  ``workers > 1``, sharded via :func:`repro.sim.sweep.sweep` across a
-  **long-lived process pool** owned by the service (created lazily on the
-  first pooled batch, reused for every batch after, shut down when the
-  dispatcher drains out — no per-batch executor standup); pool results are
-  seeded back into the session memo (and the ``REPRO_SIM_CACHE_DIR`` disk
-  cache) so the service warms up like any other session user,
+* **one in-process session** — each drained batch of *unique* jobs is
+  priced through the shared session (memo + ``REPRO_SIM_CACHE_DIR`` disk
+  cache) on the dispatcher thread; a stacked pass is cheaper than shipping
+  points to worker processes,
 * **dispatch order** — requests carry ``priority``/``deadline_seconds``
   (:func:`repro.serving.api.dispatch_order_key`): the dispatcher drains
   higher-priority, earlier-deadline jobs first and falls back to FIFO for
   all-default traffic — the same semantics the cluster simulator's EDF
   scheduler applies (:mod:`repro.cluster.scheduler`).
 
-Both execution paths run the identical per-point simulation code, so pooled
-and serial services return bit-identical numbers — asserted by
-``tests/test_serving.py`` and the CI smoke (:mod:`repro.serving.smoke`).
+Stacked and per-length pricing return bit-identical numbers, so a served
+report equals a direct session's — asserted by ``tests/test_serving.py``
+and the CI smoke (:mod:`repro.serving.smoke`).
 """
 
 from __future__ import annotations
@@ -41,24 +37,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from .._digest import stable_digest
-from ..gpu.gpu_config import GPUS, GPUSpec
-from ..hardware.config import LightNobelConfig
-from ..obs.tracing import Tracer
+from ..obs.tracing import SpanBatch, Tracer
 from ..ppm.config import PPMConfig
-from ..sim.backend import (
-    AcceleratorVariant,
-    GPUVariant,
-    SimReport,
-    available_backends,
-)
+from ..sim.backend import SimReport
 from ..sim.session import DEFAULT_BACKENDS, SimulationSession
-from ..sim.sweep import SweepPoint, resolve_workers, sweep
 from .api import (
     CapacityReport,
     LatencyRequest,
@@ -71,6 +58,36 @@ from .api import (
 from .stats import ServiceStats
 
 RequestLike = Union[LatencyRequest, Tuple[Any, int]]
+
+
+def _request_spans(entry: Tuple) -> SpanBatch:
+    """Expand a traced ticket's compact entry into its root + 3 child spans.
+
+    The dispatcher records ``(_request_spans, trace key, ticket id,
+    submitted, coalesced, job context)`` per ticket; the tracer calls this
+    only when the trace is read.
+    """
+    _, _, ticket_id, submitted, coalesced, job = entry
+    label, length, path, ok, started, end, fulfilled = job
+    exec_name = "coalesce" if coalesced else path
+    return (
+        (
+            "request",
+            submitted,
+            end,
+            {
+                "ticket_id": ticket_id,
+                "backend": label,
+                "sequence_length": length,
+                "coalesced": coalesced,
+                "path": exec_name,
+                "ok": ok,
+            },
+        ),
+        ("queue-wait", submitted, started, None),
+        (exec_name, started, end, None),
+        ("fulfill", end, fulfilled, None),
+    )
 
 
 def create_service(**kwargs) -> "LatencyService":
@@ -108,36 +125,6 @@ def _spec_key(spec: Any) -> Tuple[str, object]:
         return ("digest", stable_digest("serving-spec", spec))
     except TypeError:
         return ("id", id(spec))
-
-
-def _poolable(spec: Any) -> bool:
-    """Whether a spec can be rebuilt inside a sweep worker process.
-
-    Registry names and frozen config/variant dataclasses ship cleanly across
-    the process boundary; session-local registrations (digest-derived names)
-    and live backend instances are evaluated serially instead.
-    """
-    if isinstance(spec, (AcceleratorVariant, GPUVariant, LightNobelConfig, GPUSpec)):
-        return True
-    # Variant-style frozen dataclasses with a build() factory (e.g.
-    # repro.cluster.fleet.MultiChipVariant) pickle by value and rebuild in the
-    # worker.  A spec that wraps a nested `base` spec (a multi-chip node over
-    # some inner backend) is only pool-safe if that base would resolve in a
-    # worker too — a session-local digest name or live backend instance
-    # inside would fail worker-side and needlessly cost us the long-lived
-    # pool, so such jobs run serially instead.
-    if is_dataclass(spec) and not isinstance(spec, type) and callable(
-        getattr(spec, "build", None)
-    ):
-        base = getattr(spec, "base", None)
-        return base is None or _poolable(base)
-    if isinstance(spec, str):
-        key = spec.lower()
-        if key in available_backends():
-            return True
-        base = key[: -len("-chunk")] if key.endswith("-chunk") else key
-        return base.upper() in GPUS
-    return False
 
 
 def _backend_label(spec: Any, report: Optional[SimReport]) -> str:
@@ -190,9 +177,9 @@ class _Job:
     deadline: Optional[float] = None
     #: True while the job sits in the pending queue (dispatch bookkeeping).
     queued: bool = True
-    #: Which execution path priced this job ("memo-hit", "pool-dispatch",
-    #: "stacked-simulate", "simulate", "error") — the span name tracing gives
-    #: the execution window of every non-coalesced ticket.
+    #: Which execution path priced this job ("memo-hit", "stacked-simulate",
+    #: "simulate", "error") — the span name tracing gives the execution
+    #: window of every non-coalesced ticket.
     path: str = "simulate"
     tickets: List[_Ticket] = field(default_factory=list)
 
@@ -210,25 +197,22 @@ class _Job:
 
 
 class LatencyService:
-    """Request queue + coalescing + worker pool over one shared session.
+    """Request queue + coalescing over one shared session.
 
-    ``workers`` selects the execution path for each drained batch of unique
-    jobs: ``None``/0/1 (or ``$REPRO_SIM_WORKERS``) evaluates serially through
-    the shared :class:`~repro.sim.session.SimulationSession`; ``workers > 1``
-    shards pool-safe jobs across :func:`repro.sim.sweep.sweep` and seeds the
-    results back into the session memo.  ``cache_dir`` /
+    Each drained batch of unique jobs is priced in process through the shared
+    :class:`~repro.sim.session.SimulationSession`.  ``cache_dir`` /
     ``REPRO_SIM_CACHE_DIR`` enable the shared disk cache exactly as on a bare
     session.
 
-    On the serial path, jobs sharing a backend spec are additionally grouped
-    by shape bucket (``length_bucket_size``; ``None`` = one shared bucket)
-    and each multi-length group is priced in a single stacked pass — see the
-    module docstring.  Results are bit-identical to per-length simulation, so
+    Jobs sharing a backend spec are grouped by shape bucket
+    (``length_bucket_size``; ``None`` = one shared bucket) and each
+    multi-length group is priced in a single stacked pass — see the module
+    docstring.  Results are bit-identical to per-length simulation, so
     the bucket width is purely a batching-granularity knob.
 
     ``tracer`` switches on per-request span tracing: every fulfilled ticket
     records a root ``request`` span with ``queue-wait``, an execution span
-    named after the path that priced it (``memo-hit`` / ``pool-dispatch`` /
+    named after the path that priced it (``memo-hit`` /
     ``stacked-simulate`` / ``simulate``, or ``coalesce`` for tickets that
     attached to an in-flight duplicate) and a ``fulfill`` span, keyed by the
     client's ``trace_id`` or the ticket id (see :mod:`repro.obs.tracing`).
@@ -244,7 +228,6 @@ class LatencyService:
         self,
         ppm_config: Optional[PPMConfig] = None,
         backends: Iterable = DEFAULT_BACKENDS,
-        workers: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         use_disk_cache: Optional[bool] = None,
         include_recycles: bool = False,
@@ -282,7 +265,6 @@ class LatencyService:
                 use_disk_cache=use_disk_cache,
                 include_recycles=include_recycles,
             )
-        self.workers = resolve_workers(workers)
         self.max_batch = int(max_batch)
         self.autostart = bool(autostart)
         #: Shape-bucket width for stacked batch admission (None = one bucket).
@@ -311,11 +293,6 @@ class LatencyService:
         self._executing = 0
         self._stopped = False
         self._thread: Optional[threading.Thread] = None
-        #: Long-lived worker pool (created lazily by the dispatcher on the
-        #: first pooled batch, reused for every batch after, shut down when
-        #: the dispatcher drains out).  Owned exclusively by the dispatcher
-        #: thread, so no lock guards it.
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._started_at = time.perf_counter()
 
     # ---------------------------------------------------------------- lifecycle
@@ -347,10 +324,6 @@ class LatencyService:
             thread = self._thread
         if wait and thread is not None:
             thread.join()
-        if thread is None:
-            # Never-started service: no dispatcher will run to release the
-            # pool (it cannot exist yet, but keep the invariant explicit).
-            self._shutdown_pool()
 
     def __enter__(self) -> "LatencyService":
         return self.start()
@@ -594,7 +567,6 @@ class LatencyService:
             backends=tuple(self.stats.backend_summaries()),
             timed_out=int(snap["timeouts"]),
             late_results=int(snap["late_results"]),
-            pool_rebuilds=int(snap["pool_rebuilds"]),
             stacked_batches=int(snap["stacked_batches"]),
             stacked_points=int(snap["stacked_points"]),
         )
@@ -608,7 +580,7 @@ class LatencyService:
                     # plain wait needs no polling interval.
                     self._cond.wait()
                 if not self._queue:
-                    break  # stopped and drained; release the pool below
+                    break  # stopped and drained
                 # Drain up to max_batch jobs in dispatch order: priority desc,
                 # then earliest deadline, then submission order (the shared
                 # dispatch_order_key semantics).  While nothing queued carries
@@ -639,10 +611,11 @@ class LatencyService:
             try:
                 results = self._execute(jobs)
             except Exception as exc:
-                # A dispatcher-level failure (pool machinery, session
-                # corruption) must not kill this thread: a dead dispatcher
-                # would hang every future poll()/result() forever.  Convert
-                # the crash into per-ticket error responses and keep serving.
+                # A dispatcher-level failure (session corruption, a
+                # simulator bug outside the per-job guards) must not kill
+                # this thread: a dead dispatcher would hang every future
+                # poll()/result() forever.  Convert the crash into
+                # per-ticket error responses and keep serving.
                 for job in jobs:
                     results.setdefault(
                         job.key, (None, f"dispatcher error: {exc}", False)
@@ -651,18 +624,16 @@ class LatencyService:
                 # Fulfill even if _execute blew up: every drained ticket gets a
                 # response (an error one, in the worst case), never a hang.
                 self._fulfill(jobs, results, started)
-        # The dispatcher owns the worker pool and releases it on the way out —
-        # outside the condition lock, since joining worker processes can take
-        # a while and must not stall concurrent poll()/stats readers.
-        self._shutdown_pool()
 
     def _execute(
         self, jobs: List[_Job]
     ) -> Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]]:
         """Evaluate unique jobs; returns key -> (report, error, memo_hit)."""
         results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]] = {}
-        pooled: List[_Job] = []
-        serial: List[_Job] = []
+        # Shape-bucketed batch admission: jobs missing the memo that share a
+        # backend spec (and recycles flag) within one length bucket are
+        # priced by a single stacked pass; loners keep the per-job path.
+        buckets: Dict[Tuple, List[_Job]] = {}
         with self._session_lock:
             for job in jobs:
                 try:
@@ -676,19 +647,7 @@ class LatencyService:
                 if report is not None:
                     results[job.key] = (report, None, True)
                     job.path = "memo-hit"
-                elif (
-                    self.workers is not None
-                    and self.workers > 1
-                    and _poolable(job.spec)
-                ):
-                    pooled.append(job)
-                else:
-                    serial.append(job)
-            # Shape-bucketed batch admission: serial jobs sharing a backend
-            # spec (and recycles flag) within one length bucket are priced by
-            # a single stacked pass; loners keep the plain per-job path.
-            buckets: Dict[Tuple, List[_Job]] = {}
-            for job in serial:
+                    continue
                 bucket = (
                     job.key[0],
                     job.include_recycles,
@@ -700,11 +659,6 @@ class LatencyService:
                     self._simulate_bucketed(group, results)
                 else:
                     results[group[0].key] = self._simulate_serial(group[0])
-            if len(pooled) == 1:
-                # A single point gains nothing from a pool; keep it in-session.
-                results[pooled[0].key] = self._simulate_serial(pooled[0])
-            elif pooled:
-                self._simulate_pooled(pooled, results)
         return results
 
     def _simulate_serial(
@@ -753,84 +707,6 @@ class LatencyService:
             results[job.key] = (reports[job.sequence_length], None, False)
             job.path = "stacked-simulate"
 
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The long-lived worker pool, created lazily (``None`` if unavailable)."""
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            except Exception:
-                return None
-        return self._pool
-
-    def _shutdown_pool(self, wait: bool = True) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def _simulate_pooled(
-        self,
-        jobs: List[_Job],
-        results: Dict[Tuple, Tuple[Optional[SimReport], Optional[str], bool]],
-    ) -> None:
-        """Shard a batch of unique jobs across the long-lived worker pool.
-
-        The pool is created once and reused across batches (no per-batch
-        executor standup); jobs are grouped by recycles flag (a sweep-level
-        setting).  A broken pool (workers OOM-killed, crashed mid-batch) is
-        discarded and **rebuilt once** — a single dead worker must not cost
-        the whole pooled path — and only if the fresh pool fails too does the
-        batch degrade to the per-job serial path, so the service keeps the
-        sweep module's never-have-to-care fallback contract.
-        """
-        by_include: Dict[bool, List[_Job]] = {}
-        for job in jobs:
-            by_include.setdefault(job.include_recycles, []).append(job)
-        for include, group in by_include.items():
-            points = [SweepPoint(job.spec, job.sequence_length) for job in group]
-            reports = None
-            for attempt in (0, 1):
-                executor = self._ensure_pool()
-                try:
-                    reports = sweep(
-                        points,
-                        ppm_config=self.session.ppm_config,
-                        workers=self.workers,
-                        include_recycles=include,
-                        executor=executor,
-                    )
-                    break
-                except Exception:
-                    if executor is not None:
-                        # The pool itself may be broken (dead workers,
-                        # pickling of a poisoned spec): discard it so the
-                        # retry (and the next batch) starts clean rather
-                        # than failing forever.
-                        self._shutdown_pool(wait=False)
-                    if attempt == 0 and executor is not None:
-                        # One rebuild: _ensure_pool() stands up a fresh pool
-                        # on the retry.  A pool that could not even be
-                        # created (executor None) will not appear by trying
-                        # again — go straight to the serial fallback.
-                        self.stats.record_pool_rebuild()
-                        continue
-                    break
-            if reports is None:
-                for job in group:
-                    results[job.key] = self._simulate_serial(job)
-                continue
-            self.stats.record_simulations(len(group))
-            for job, report in zip(group, reports):
-                # Seed the shared memo/disk cache so later duplicates are
-                # memo hits, exactly as if the session had simulated them.
-                try:
-                    self.session.seed_report(
-                        job.spec, job.sequence_length, report, include
-                    )
-                except Exception:
-                    pass
-                results[job.key] = (report, None, False)
-                job.path = "pool-dispatch"
-
     def _fulfill(
         self,
         jobs: List[_Job],
@@ -838,9 +714,11 @@ class LatencyService:
         started: float,
     ) -> None:
         end = time.perf_counter()
-        fulfilled: List[int] = []
+        fulfilled: List[_Ticket] = []
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
+        #: Compact trace entry per ticket, recorded with one tracer call.
+        traces: List[Tuple] = []
         with self._cond:
             for job in jobs:
                 report, error, memo_hit = results.get(
@@ -887,41 +765,34 @@ class LatencyService:
                             trace_id=ticket.request.trace_id,
                         )
                     )
-                    if tracing:
-                        # One pre-built batch per ticket (root + 3 children),
-                        # recorded before done.set() so a waiter that wakes on
-                        # the event always finds its trace complete.
-                        exec_name = "coalesce" if ticket.coalesced else job.path
-                        tracer.record_batch(
-                            ticket.request.trace_id or ticket.id,
-                            (
-                                (
-                                    "request",
-                                    ticket.submitted_at,
-                                    end,
-                                    {
-                                        "ticket_id": ticket.id,
-                                        "backend": label,
-                                        "sequence_length": (
-                                            ticket.request.sequence_length
-                                        ),
-                                        "coalesced": ticket.coalesced,
-                                        "path": exec_name,
-                                        "ok": error is None,
-                                    },
-                                ),
-                                ("queue-wait", ticket.submitted_at, started, None),
-                                (exec_name, started, end, None),
-                                ("fulfill", end, time.perf_counter(), None),
-                            ),
-                        )
                     if ticket.abandoned:
                         # Every waiter gave up before this completion landed:
                         # count it so operators can see late work, and leave
                         # the response reclaimable (reap_abandoned / poll).
                         self.stats.record_late_result()
-                    ticket.done.set()
-                    fulfilled.append(ticket.id)
+                    fulfilled.append(ticket)
+                if tracing:
+                    # One compact entry per ticket, expanded when read; the
+                    # job's tickets share its execution and fulfill windows.
+                    context = (
+                        label, job.sequence_length, job.path, error is None,
+                        started, end, time.perf_counter(),
+                    )
+                    for ticket in job.tickets:
+                        traces.append((
+                            _request_spans,
+                            ticket.request.trace_id or ticket.id,
+                            ticket.id,
+                            ticket.submitted_at,
+                            ticket.coalesced,
+                            context,
+                        ))
+            if traces:
+                # Recorded before done.set() so a waiter that wakes on the
+                # event always finds its trace complete.
+                tracer.record_deferred(traces, spans=4)
+            for ticket in fulfilled:
+                ticket.done.set()
             self._executing = 0
             depth = len(self._queue)
             listeners = list(self._listeners)
@@ -930,7 +801,7 @@ class LatencyService:
         # Listener contract: fulfilled responses are already pollable, the
         # lock is released (a listener may call poll()/stats), and a listener
         # crash never takes the dispatcher down with it.
-        ids = tuple(fulfilled)
+        ids = tuple(ticket.id for ticket in fulfilled)
         for listener in listeners:
             try:
                 listener(ids)

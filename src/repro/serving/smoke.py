@@ -1,13 +1,13 @@
-"""CI smoke entry: a concurrent batch through a 2-worker ``LatencyService``.
+"""CI smoke entry: a concurrent batch through an in-process ``LatencyService``.
 
 Run as ``PYTHONPATH=src python -m repro.serving.smoke``.  Submits a small
-batch with duplicates through a pooled service, asserts coalescing happened,
+batch with duplicates through a service, asserts coalescing happened,
 and checks the served numbers against a direct
 :class:`~repro.sim.session.SimulationSession` before exiting 0 — the serving
 sibling of :mod:`repro.sim.smoke`.
 
-``--bucketed`` exercises the shape-bucketed serial path instead: a serial
-service with a finite ``length_bucket_size`` drains a multi-length batch,
+``--bucketed`` exercises shape-bucketed admission instead: a service with a
+finite ``length_bucket_size`` drains a multi-length batch,
 the smoke asserts stacked batches actually ran, and every served number is
 checked against a direct session (stacked ≡ per-length parity).
 """
@@ -40,9 +40,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-serving-smoke-") as cache_dir:
         # Sandbox every cache write in the throwaway directory, as the test
-        # suite's conftest does: the env var covers the pooled sweep workers
-        # (which inherit the environment) and the reference session in _run,
-        # which would otherwise write into the CI runner's workspace/home.
+        # suite's conftest does: the env var covers the reference session in
+        # _run, which would otherwise write into the CI runner's
+        # workspace/home.
         with sandbox_cache_dir(cache_dir):
             return _run(config, requests, cache_dir)
 
@@ -52,9 +52,7 @@ def _run(config: PPMConfig, requests, cache_dir: str) -> int:
     # duplicate is deterministically in-flight together — otherwise a
     # fast dispatcher could fulfill a key before its duplicate arrives
     # (a memo hit, not coalescing) and flake the assertion below.
-    service = LatencyService(
-        ppm_config=config, workers=2, cache_dir=cache_dir, autostart=False
-    )
+    service = LatencyService(ppm_config=config, cache_dir=cache_dir, autostart=False)
     tickets = service.submit_batch(requests)
     with service:
         responses = [service.result(t, timeout=120.0) for t in tickets]
@@ -91,12 +89,12 @@ def _run(config: PPMConfig, requests, cache_dir: str) -> int:
     if report.errors:
         print("FAIL: service reported errors", file=sys.stderr)
         return 1
-    print("smoke ok: 2-worker LatencyService batch + coalescing + parity")
+    print("smoke ok: LatencyService batch + coalescing + parity")
     return 0
 
 
 def bucketed_main() -> int:
-    """Smoke the shape-bucketed serial path: stacked batches + exact parity."""
+    """Smoke shape-bucketed admission: stacked batches + exact parity."""
     config = PPMConfig.tiny()
     lengths = (24, 32, 40, 48, 56, 64)
     requests = [

@@ -91,7 +91,6 @@ class ServiceStats:
         self.peak_queue_depth = 0
         self.timeouts = 0
         self.late_results = 0
-        self.pool_rebuilds = 0
         self.stacked_batches = 0
         self.stacked_points = 0
         self._latency = Histogram(
@@ -163,11 +162,6 @@ class ServiceStats:
         with self._lock:
             return tuple(self._request_log)
 
-    def record_pool_rebuild(self) -> None:
-        """The dispatcher replaced a broken worker pool with a fresh one."""
-        with self._lock:
-            self.pool_rebuilds += 1
-
     def record_stacked(self, batches: int, points: int) -> None:
         """A shape-bucketed batch priced ``points`` lengths in one stacked pass."""
         with self._lock:
@@ -212,7 +206,6 @@ class ServiceStats:
                 "peak_queue_depth": self.peak_queue_depth,
                 "timeouts": self.timeouts,
                 "late_results": self.late_results,
-                "pool_rebuilds": self.pool_rebuilds,
                 "stacked_batches": self.stacked_batches,
                 "stacked_points": self.stacked_points,
             }
@@ -253,8 +246,6 @@ class ServiceStats:
                  "result() calls that gave up waiting."),
                 ("late_results_total", Counter, self.late_results,
                  "Requests completed after every waiter timed out."),
-                ("pool_rebuilds_total", Counter, self.pool_rebuilds,
-                 "Worker-pool rebuilds after a pool failure."),
                 ("stacked_batches_total", Counter, self.stacked_batches,
                  "Shape-bucketed batches priced in one stacked pass."),
                 ("stacked_points_total", Counter, self.stacked_points,

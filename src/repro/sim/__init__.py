@@ -1,9 +1,11 @@
-"""Unified simulation-backend layer: sessions, batches, sweeps, disk cache.
+"""Unified simulation-backend layer: sessions, batches, disk cache.
 
 Every latency number in the repository — the accelerator model, the GPU
 rooflines, the Fig. 12–16 figure loops — flows through this package.  It
 abstracts the two simulators behind one protocol and owns the caches that
-make repeated sweeps cheap.
+make repeated sweeps cheap.  Every price is computed in the calling process:
+one stacked pass over many lengths is cheaper than shipping the points to
+worker processes.
 
 Usage
 -----
@@ -19,17 +21,13 @@ evaluated columnar-style)::
     )
     batch.mean_folding_seconds("h100-chunk")           # Fig. 14b-d metric
 
-Sharded sweeps (process pool with serial fallback; pool ≡ serial results)::
+Hardware design points are backend specs like any other; a batch prices
+each of them over one shared stack::
 
-    from repro.sim import SweepPoint, sweep
     from repro.hardware import LightNobelConfig
 
-    points = [
-        SweepPoint(LightNobelConfig(num_rmpus=r), n)
-        for r in (8, 16, 32)
-        for n in (200, 400)
-    ]
-    reports = sweep(points, workers=4)                 # or workers=None: serial
+    specs = [LightNobelConfig(num_rmpus=r) for r in (8, 16, 32)]
+    batch = session.simulate_batch([200, 400], backends=specs)
 
 Disk cache (cross-process reuse of tables and reports; version-stamped, safe
 to delete)::
@@ -56,7 +54,6 @@ from .backend import (
 )
 from .cache import CACHE_DIR_ENV, CACHE_SCHEMA_VERSION, DiskCache, default_cache_dir
 from .session import BatchResult, DEFAULT_BACKENDS, SimulationSession, session_for
-from .sweep import SweepPoint, sweep
 
 __all__ = [
     "AcceleratorBackend",
@@ -71,11 +68,9 @@ __all__ = [
     "LatencyBackend",
     "SimReport",
     "SimulationSession",
-    "SweepPoint",
     "available_backends",
     "create_backend",
     "default_cache_dir",
     "register_backend",
     "session_for",
-    "sweep",
 ]

@@ -16,7 +16,7 @@ cache directory is always safe to delete wholesale.
 
 The default directory is ``$REPRO_SIM_CACHE_DIR`` when set, else
 ``~/.cache/repro-sim``.  Writes are atomic (temp file + ``os.replace``) so
-concurrent sweep workers can share one directory.
+concurrent processes can share one directory.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def default_cache_dir() -> Path:
 def sandbox_cache_dir(path: Path | str):
     """Point ``CACHE_DIR_ENV`` at ``path`` for the duration of the block.
 
-    Covers every cache consumer inside the block — direct sessions, serial
-    sweeps, and process-pool sweep workers (which inherit the environment) —
-    and restores the previous value on exit.  The CI smoke entry points use
+    Covers every cache consumer inside the block — direct sessions, the
+    process-wide shared sessions, and child processes (which inherit the
+    environment) — and restores the previous value on exit.  The CI smoke entry points use
     this so nothing writes cache state into the runner workspace or home;
     the test suite's conftest applies the same sandbox session-wide.
     """

@@ -45,6 +45,12 @@ _LIVE_STACKS: "weakref.WeakValueDictionary[Tuple, StackedOperatorTable]" = (
     weakref.WeakValueDictionary()
 )
 
+#: Process-wide sessions of :func:`shared_session`, one per PPM config.
+#: Bounded FIFO so a long-lived process pricing many configs does not pin
+#: tables forever (the op-table LRU already covers reuse).
+_SHARED_SESSIONS: Dict[str, "SimulationSession"] = {}
+_SHARED_SESSION_LIMIT = 8
+
 
 @dataclass
 class BatchResult:
@@ -95,6 +101,25 @@ def session_for(
             )
         return session
     return SimulationSession(ppm_config=ppm_config or PPMConfig.paper(), backends=backends)
+
+
+def shared_session(ppm_config: PPMConfig) -> "SimulationSession":
+    """The process-wide backend-less session for one PPM config.
+
+    Sweeps that price many hardware configs over one length set use it so
+    their stack stays alive for the next caller in the process (a Fig. 14
+    batch after a Fig. 12 sweep reuses it via the live-stack registry), and
+    so ``REPRO_SIM_CACHE_DIR`` applies to their table builds.
+    """
+    key = ppm_config.config_digest()
+    session = _SHARED_SESSIONS.get(key)
+    if session is None:
+        while len(_SHARED_SESSIONS) >= _SHARED_SESSION_LIMIT:
+            _SHARED_SESSIONS.pop(next(iter(_SHARED_SESSIONS)))
+        session = _SHARED_SESSIONS[key] = SimulationSession(
+            ppm_config=ppm_config, backends=()
+        )
+    return session
 
 
 class SimulationSession:
@@ -344,11 +369,11 @@ class SimulationSession:
         report: SimReport,
         include_recycles: Optional[bool] = None,
     ) -> None:
-        """Insert an externally computed report into the memo (and disk cache).
+        """Insert an already computed report into the memo (and disk cache).
 
-        Used by pool-based executors (the serving layer's worker path) whose
-        simulations ran in other processes: seeding keeps the shared session
-        as warm as if it had simulated the point itself.
+        The stacked pass prices many lengths at once; seeding each segment
+        report keeps the session as warm as if it had simulated the point
+        itself.
         """
         name, memo_key = self._memo_key(backend, sequence_length, include_recycles)
         self._reports[memo_key] = report

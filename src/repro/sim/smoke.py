@@ -1,9 +1,9 @@
-"""CI smoke entry: tiny ``simulate_batch`` + a 2-worker sharded ``sweep``.
+"""CI smoke entry: tiny ``simulate_batch`` over registry and hardware specs.
 
-Run as ``PYTHONPATH=src python -m repro.sim.smoke``.  Exercises the
-process-pool sweep path (and its serial fallback) plus the session batch API
-on a tiny configuration so every push covers the multiprocessing code, and
-asserts pool ≡ serial parity before exiting 0.
+Run as ``PYTHONPATH=src python -m repro.sim.smoke``.  Prices a batch of
+registered backends and a small hardware grid on a tiny configuration in one
+process, and asserts that every stacked total equals pricing its point alone
+in a fresh session (stacked ≡ per-length parity) before exiting 0.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from ..hardware.config import LightNobelConfig
 from ..ppm.config import PPMConfig
 from .cache import sandbox_cache_dir
 from .session import SimulationSession
-from .sweep import SweepPoint, sweep
 
 
 def main() -> int:
     config = PPMConfig.tiny()
     lengths = (24, 48)
 
-    # Sandbox every cache write — the direct session, the serial sweep, and
-    # the process-pool sweep workers — in one throwaway directory, exactly as
-    # the test suite's conftest does.  Without this the sweeps below would
+    # Sandbox every cache write in one throwaway directory, exactly as the
+    # test suite's conftest does.  Without this the sessions below would
     # write cache state into the CI runner's workspace/home.
     with tempfile.TemporaryDirectory(prefix="repro-sim-smoke-") as cache_dir:
         with sandbox_cache_dir(cache_dir):
@@ -35,22 +33,19 @@ def main() -> int:
                 print(f"simulate_batch[{name}]: {totals}")
             print(f"session stats: {session.stats()}")
 
-            points = [
-                SweepPoint(LightNobelConfig(num_rmpus=rmpus), n)
-                for rmpus in (8, 32)
-                for n in lengths
-            ]
-            sharded = sweep(points, ppm_config=config, workers=2)
-            serial = sweep(points, ppm_config=config, workers=None)
-            for point, fast, slow in zip(points, sharded, serial):
-                print(
-                    f"sweep[rmpus={point.backend.num_rmpus}, n={point.sequence_length}]: "
-                    f"{fast.total_seconds * 1e3:.3f} ms"
-                )
-                if fast.total_seconds != slow.total_seconds:
-                    print("FAIL: sharded sweep diverged from serial sweep", file=sys.stderr)
-                    return 1
-    print("smoke ok: batch + sharded sweep (2 workers) + sandboxed disk cache")
+            specs = [LightNobelConfig(num_rmpus=rmpus) for rmpus in (8, 32)]
+            grid = session.simulate_batch(lengths, backends=specs)
+            for spec, name in zip(specs, grid.backends):
+                for n in lengths:
+                    stacked = grid.report(name, n).total_seconds
+                    alone = SimulationSession(
+                        ppm_config=config, backends=(), use_disk_cache=False
+                    ).simulate(n, backend=spec)
+                    print(f"grid[rmpus={spec.num_rmpus}, n={n}]: {stacked * 1e3:.3f} ms")
+                    if stacked != alone.total_seconds:
+                        print("FAIL: stacked grid diverged from per-point pricing", file=sys.stderr)
+                        return 1
+    print("smoke ok: batch + hardware grid in one process + sandboxed disk cache")
     return 0
 
 

@@ -42,7 +42,7 @@ from repro.hardware import ChipLinkSpec
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService
 from repro.serving.api import dispatch_order_key
-from repro.sim import SimulationSession, SweepPoint, sweep
+from repro.sim import SimulationSession
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -337,16 +337,6 @@ class TestMultiChipAndFleet:
         }
         assert len(digests) == 3
 
-    def test_multichip_sweeps_pool_equals_serial(self, tiny_config):
-        points = [
-            SweepPoint(MultiChipVariant(base="lightnobel", chips=c), n)
-            for c in (2, 4)
-            for n in (24, 48)
-        ]
-        pooled = sweep(points, ppm_config=tiny_config, workers=2)
-        serial = sweep(points, ppm_config=tiny_config, workers=None)
-        assert [r.total_seconds for r in pooled] == [r.total_seconds for r in serial]
-
     def test_fleet_spec_accounting(self):
         fleet = FleetSpec.homogeneous("lightnobel", 4)
         assert fleet.num_workers == 4
@@ -443,38 +433,32 @@ class TestReplayDeterminism:
         )
         fleet = FleetSpec.homogeneous("h100-chunk", 2)
         via_session = prefetch_service_times(trace, fleet, session=tiny_session)
-        via_sweep = prefetch_service_times(
-            trace, fleet, ppm_config=tiny_config, workers=2
-        )
+        via_config = prefetch_service_times(trace, fleet, ppm_config=tiny_config)
         with LatencyService(session=tiny_session, autostart=False) as service:
             via_service = prefetch_service_times(trace, fleet, service=service)
-        assert via_session == via_sweep == via_service
+        assert via_session == via_config == via_service
 
-    def test_sharded_prefetch_honors_session_recycles(self):
-        """A recycles-enabled session must get recycle-inclusive service
-        times from the sharded prefetch (regression: the sweep ran with
-        recycles off and seeded wrong reports into the session memo)."""
+    def test_prefetch_honors_session_recycles(self):
+        """A recycles-enabled session prices recycle-inclusive service times,
+        through the session and through a service over it alike."""
         cfg = PPMConfig.tiny().with_recycles(2)
         pool, _ = mixture_lengths([(24, 0.5), (48, 0.5)])
         trace = poisson_trace(rate_rps=50.0, num_requests=20, length_pool=pool, seed=1)
         fleet = FleetSpec.homogeneous("lightnobel", 2)
-        serial = prefetch_service_times(
-            trace, fleet,
-            session=SimulationSession(ppm_config=cfg, include_recycles=True,
-                                      use_disk_cache=False),
-        )
-        pooled = prefetch_service_times(
-            trace, fleet,
-            session=SimulationSession(ppm_config=cfg, include_recycles=True,
-                                      use_disk_cache=False),
-            workers=2,
-        )
+        def recycling_session():
+            return SimulationSession(
+                ppm_config=cfg, include_recycles=True, use_disk_cache=False
+            )
+
+        direct = prefetch_service_times(trace, fleet, session=recycling_session())
+        with LatencyService(session=recycling_session(), autostart=False) as service:
+            via_service = prefetch_service_times(trace, fleet, service=service)
         no_recycles = prefetch_service_times(
             trace, fleet,
             session=SimulationSession(ppm_config=cfg, use_disk_cache=False),
         )
-        assert pooled == serial
-        assert serial != no_recycles  # recycles genuinely change the numbers
+        assert via_service == direct
+        assert direct != no_recycles  # recycles genuinely change the numbers
 
     def test_all_requests_accounted(self, pinned_times):
         report = pinned_replay("fifo", pinned_times)
@@ -774,7 +758,7 @@ class TestPlanner:
         )
         plan = cluster_capacity_dse(
             trace, backend="h100-chunk", fleet_sizes=(1, 2, 4),
-            config=PPMConfig.tiny(), workers=2,
+            config=PPMConfig.tiny(),
         )
         assert {p.policy for p in plan.points} == {"fifo", "edf"}
         minimal = plan.minimal_fleet()

@@ -242,6 +242,23 @@ class TestTracer:
         assert [c["name"] for c in root["children"]] == ["queue-wait", "simulate"]
         assert root["duration_seconds"] == 4.0
 
+    def test_record_deferred_expands_when_read(self):
+        def expand(entry):
+            _, _, ok = entry
+            return (("request", 0.0, 2.0, {"ok": ok}), ("simulate", 1.0, 2.0, None))
+
+        tracer = Tracer(max_traces=2, max_spans_per_trace=2)
+        tracer.record_deferred([(expand, "a", True), (expand, 7, False)], spans=2)
+        tracer.record_deferred([(expand, "a", True)], spans=2)  # over the cap
+        (root,) = tracer.trace_tree("a")
+        assert root["attributes"] == {"ok": True}
+        assert [c["name"] for c in root["children"]] == ["simulate"]
+        assert tracer.dropped_spans == 2
+        assert tracer.trace(7)[0].attributes == {"ok": False}
+        tracer.record_deferred([(expand, "b", True)], spans=2)
+        assert tracer.trace_keys() == (7, "b")  # FIFO eviction of "a"
+        assert tracer.evicted_traces == 1
+
     def test_find_resolves_string_and_int_keys(self):
         tracer = Tracer()
         tracer.record_batch("abc", (("request", 0.0, 1.0, None),))

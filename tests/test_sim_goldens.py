@@ -9,14 +9,16 @@ that changes them must update this table deliberately and say why.
 
 The values must hold bit-for-bit modulo float noise (relative 1e-9, the
 repo-wide parity bar) on every execution path: direct session, disk-cache
-round trip, sharded sweep, and the serving layer.
+round trip, the process-wide shared session's stack, and the serving layer
+(stacked and per-length admission).
 """
 
 import pytest
 
 from repro.ppm import PPMConfig
 from repro.serving import LatencyService
-from repro.sim import SimulationSession, SweepPoint, sweep
+from repro.sim import create_backend
+from repro.sim.session import SimulationSession, shared_session
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -94,17 +96,24 @@ def test_disk_cache_roundtrip_matches_goldens(tmp_path):
     assert warm.cache.hits > 0  # the goldens really came off disk
 
 
-def test_sharded_sweep_matches_goldens():
-    points = [SweepPoint(backend, length) for backend, length in sorted(GOLDENS)]
-    reports = sweep(points, ppm_config=PPMConfig.tiny(), workers=2)
-    for point, report in zip(points, reports):
-        assert_matches_golden(report, point.backend, point.sequence_length)
+def test_shared_session_stack_matches_goldens():
+    """The stack hardware sweeps price through reproduces every golden."""
+    config = PPMConfig.tiny()
+    stack = shared_session(config).stacked_table(LENGTHS)
+    for backend in BACKENDS:
+        reports = create_backend(backend, config).simulate_stack(stack)
+        for length, report in zip(stack.lengths, reports):
+            assert_matches_golden(report, backend, length)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_serving_layer_matches_goldens(workers):
+#: ``None`` prices each backend's lengths in one stacked pass; a bucket width
+#: of 2 separates the golden lengths, so every job takes the per-length path.
+@pytest.mark.parametrize("length_bucket_size", [None, 2])
+def test_serving_layer_matches_goldens(length_bucket_size):
     with LatencyService(
-        ppm_config=PPMConfig.tiny(), workers=workers, use_disk_cache=False
+        ppm_config=PPMConfig.tiny(),
+        use_disk_cache=False,
+        length_bucket_size=length_bucket_size,
     ) as service:
         reports = service.query_batch(sorted(GOLDENS), timeout=120.0)
     for (backend, length), report in zip(sorted(GOLDENS), reports):

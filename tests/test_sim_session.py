@@ -1,4 +1,4 @@
-"""Unified simulation layer: backend parity, batching, disk cache, sweeps."""
+"""Unified simulation layer: backend parity, batching, disk cache, hardware DSE."""
 
 import pickle
 
@@ -13,10 +13,8 @@ from repro.sim import (
     DiskCache,
     GPUVariant,
     SimulationSession,
-    SweepPoint,
     available_backends,
     create_backend,
-    sweep,
 )
 
 LENGTHS = (24, 40)
@@ -219,63 +217,31 @@ class TestDiskCache:
         assert b.cache.hits == 0
 
 
-class TestSweep:
-    def points(self):
-        return [
-            SweepPoint(LightNobelConfig(num_rmpus=rmpus), n)
-            for rmpus in (8, 32)
-            for n in LENGTHS
-        ] + [SweepPoint(GPUVariant(gpu="H100", chunked=True), LENGTHS[0])]
+class TestHardwareDSE:
+    def test_hardware_dse_equals_per_config_session_means(self, config):
+        """The stacked in-process grid is bit-identical to pricing each point alone."""
+        import numpy as np
 
-    def test_serial_matches_session(self, config):
-        reports = sweep(self.points(), ppm_config=config, workers=None)
-        assert len(reports) == 5
-        direct = LightNobelAccelerator(
-            hw_config=LightNobelConfig(num_rmpus=8), ppm_config=config
-        ).simulate(LENGTHS[0])
-        assert relative_difference(reports[0].total_seconds, direct.total_seconds) <= 1e-9
-
-    def test_process_pool_matches_serial(self, config):
-        serial = sweep(self.points(), ppm_config=config, workers=None)
-        sharded = sweep(self.points(), ppm_config=config, workers=2)
-        assert [r.total_seconds for r in sharded] == [r.total_seconds for r in serial]
-        assert [r.backend for r in sharded] == [r.backend for r in serial]
-
-    def test_tuple_points_accepted(self, config):
-        reports = sweep([("lightnobel", LENGTHS[0])], ppm_config=config)
-        assert reports[0].backend == "lightnobel"
-
-    def test_unpicklable_spec_falls_back_to_serial(self, config):
-        import threading
-
-        backend = create_backend("lightnobel", config)
-        backend.unpicklable = threading.Lock()  # poisons pool submission
-        points = [SweepPoint(backend, n) for n in LENGTHS]
-        reports = sweep(points, ppm_config=config, workers=2)
-        serial = sweep([SweepPoint("lightnobel", n) for n in LENGTHS], ppm_config=config)
-        assert [r.total_seconds for r in reports] == [r.total_seconds for r in serial]
-
-    def test_workers_env_default(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-        serial = sweep(self.points()[:2], ppm_config=config, workers=1)
-        env_pooled = sweep(self.points()[:2], ppm_config=config)
-        assert [r.total_seconds for r in env_pooled] == [r.total_seconds for r in serial]
-
-    def test_hardware_dse_pool_equals_serial(self, config):
         from repro.analysis import hardware_dse
 
-        kwargs = dict(
-            sequence_lengths=[LENGTHS[0]],
-            rmpu_counts=(8, 32),
-            vvpu_counts=(2, 4),
-            config=config,
+        lengths = [LENGTHS[1], LENGTHS[0], LENGTHS[1]]  # unsorted, repeated
+        result = hardware_dse(
+            lengths, rmpu_counts=(8, 32), vvpu_counts=(2, 4), config=config
         )
-        serial = hardware_dse(workers=None, **kwargs)
-        sharded = hardware_dse(workers=2, **kwargs)
-        for key in ("vvpu_sweep", "rmpu_sweep"):
-            assert [p.average_latency_seconds for p in sharded[key]] == [
-                p.average_latency_seconds for p in serial[key]
-            ]
+
+        def mean_alone(hw):
+            session = SimulationSession(
+                ppm_config=config, backends=(), use_disk_cache=False
+            )
+            return float(
+                np.mean([session.simulate(n, backend=hw).total_seconds for n in lengths])
+            )
+
+        for point in result["vvpu_sweep"] + result["rmpu_sweep"]:
+            hw = LightNobelConfig(
+                num_rmpus=point.num_rmpus, vvpus_per_rmpu=point.vvpus_per_rmpu
+            )
+            assert point.average_latency_seconds == mean_alone(hw)
 
 
 class TestEndToEndCaching:

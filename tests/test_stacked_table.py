@@ -43,7 +43,7 @@ from repro.ppm import PPMConfig, get_op_table, get_stacked_table, get_workload
 from repro.ppm.op_table import StackedOperatorTable
 from repro.serving import LatencyRequest, LatencyService
 from repro.serving.api import length_bucket
-from repro.sim import SimulationSession, available_backends, create_backend, sweep
+from repro.sim import SimulationSession, available_backends, create_backend
 from repro.sim.backend import GPUBackend
 
 RELATIVE_TOLERANCE = 1e-9
@@ -167,7 +167,7 @@ class TestStackInvariants:
         assert stack.segments == (slice(0, len(get_op_table(config, 40))),)
 
     def test_from_tables_preserves_order(self, config):
-        # from_tables (the sweep path) keeps caller order; only the
+        # from_tables (the session path) keeps caller order; only the
         # get_stacked_table cache canonicalizes.
         tables = [get_op_table(config, n) for n in (48, 16)]
         stack = StackedOperatorTable.from_tables(tables)
@@ -396,7 +396,7 @@ class TestBucketedServing:
         assert capacity.stacked_points == len(lengths)
 
 
-# ------------------------------------------------------- planner and sweeps
+# ------------------------------------------------------------ planner prefetch
 class TestPlannerPrefetch:
     def test_bucketed_prefetch_prices_bucket_representatives(self, config):
         pool, weights = mixture_lengths(
@@ -422,15 +422,3 @@ class TestPlannerPrefetch:
         assert set(bucketed) == set(exact)
         for (group, n), seconds in bucketed.items():
             assert seconds == exact[(group, mapping[n])]
-
-
-class TestSweepGrouping:
-    def test_grouped_sweep_matches_session_exactly(self, config, session):
-        points = [
-            (backend, n) for backend in ("lightnobel", "h100") for n in (16, 32, 48)
-        ]
-        results = sweep(points, ppm_config=config, workers=None)
-        for (backend, n), report in zip(points, results):
-            assert report.total_seconds == (
-                session.simulate(n, backend=backend).total_seconds
-            )
