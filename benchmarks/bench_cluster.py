@@ -10,13 +10,10 @@ per-event simulator calls) fails CI rather than silently making capacity
 planning 100x slower.
 
 Each guard times its replays in interleaved rounds and compares medians (see
-:func:`median_events_per_second`), so drift on a shared host hits every side
-alike.
+:mod:`_timing`), so drift on a shared host hits every side alike.
 """
 
-import statistics
-import time
-
+from _timing import interleaved_medians
 from conftest import emit_bench_json, print_table
 
 from repro.cluster import (
@@ -48,22 +45,15 @@ ROUNDS = 9
 
 
 def median_events_per_second(replays):
-    """``{label: (report, median events/s)}`` over interleaved rounds.
+    """``{label: (report, events / median seconds)}`` over interleaved rounds.
 
-    Every round runs each replay once, in turn, so a neighbour stealing the
-    host slows all of them alike, and the median drops the rounds it stole.
-    Replays are deterministic, so the report of any round stands for all.
+    Replays are deterministic, so one untimed replay gives each report.
     """
-    samples = {label: [] for label in replays}
-    reports = {}
-    for _ in range(ROUNDS):
-        for label, replay in replays.items():
-            start = time.perf_counter()
-            reports[label] = replay()
-            elapsed = time.perf_counter() - start
-            samples[label].append(reports[label].events_processed / elapsed)
+    reports = {label: replay() for label, replay in replays.items()}
+    seconds = interleaved_medians(*replays.values(), rounds=ROUNDS)
     return {
-        label: (reports[label], statistics.median(samples[label])) for label in replays
+        label: (reports[label], reports[label].events_processed / elapsed)
+        for label, elapsed in zip(replays, seconds)
     }
 
 

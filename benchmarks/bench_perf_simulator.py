@@ -12,11 +12,14 @@ A second benchmark covers the PR 2 unified simulation layer: a
 versus the PR 1 per-call path, in the cold-process regime (the LRU is cleared
 each round, as a fresh sweep worker would see) and in the warm in-process
 regime (where the session's report memo skips even the vectorized engine).
+
+Each comparison times its two sides in interleaved rounds and compares
+medians (see :mod:`_timing`).
 """
 
 import tempfile
-import time
 
+from _timing import interleaved_medians
 from conftest import emit_bench_json, print_table
 
 from repro.core.aaq import AAQConfig
@@ -35,13 +38,8 @@ AAQ_SWEEP = tuple(
 )
 
 
-def time_call(fn, repeats=1):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved timing rounds per comparison.
+ROUNDS = 5
 
 
 def run_legacy_lengths(config):
@@ -94,14 +92,19 @@ def run_hardware_sweep(config):
 def test_perf_columnar_vs_legacy(paper_config):
     clear_workload_caches()
 
-    legacy_single = time_call(lambda: run_legacy_lengths(paper_config))
     # Warm the table cache once, then measure the steady-state sweep regime.
     run_columnar_lengths(paper_config)
-    columnar_single = time_call(lambda: run_columnar_lengths(paper_config), repeats=3)
-
-    legacy_sweep = time_call(lambda: run_legacy_sweep(paper_config))
-    columnar_sweep = time_call(lambda: run_columnar_sweep(paper_config), repeats=3)
-    hardware_sweep = time_call(lambda: run_hardware_sweep(paper_config), repeats=3)
+    legacy_single, columnar_single = interleaved_medians(
+        lambda: run_legacy_lengths(paper_config),
+        lambda: run_columnar_lengths(paper_config),
+        rounds=ROUNDS,
+    )
+    legacy_sweep, columnar_sweep, hardware_sweep = interleaved_medians(
+        lambda: run_legacy_sweep(paper_config),
+        lambda: run_columnar_sweep(paper_config),
+        lambda: run_hardware_sweep(paper_config),
+        rounds=ROUNDS,
+    )
 
     single_speedup = legacy_single / columnar_single
     sweep_speedup = legacy_sweep / columnar_sweep
@@ -176,25 +179,23 @@ def test_perf_session_batch_and_disk_cache(paper_config):
         # Warm the disk cache once (one table build per distinct length).
         run_session_batch_cold(paper_config, cache_dir)
 
-        percall_cold = time_call(lambda: run_percall_cold(paper_config), repeats=3)
-        session_cold = time_call(
-            lambda: run_session_batch_cold(paper_config, cache_dir), repeats=3
+        percall_cold, session_cold = interleaved_medians(
+            lambda: run_percall_cold(paper_config),
+            lambda: run_session_batch_cold(paper_config, cache_dir),
+            rounds=ROUNDS,
         )
 
         # Warm in-process regime: LRU is hot for the per-call path, the
         # session additionally memoizes whole reports.
         accelerator = LightNobelAccelerator(ppm_config=paper_config)
-        percall_warm = time_call(
-            lambda: [accelerator.simulate(n).total_seconds for n in SEQUENCE_LENGTHS],
-            repeats=5,
-        )
         session = SimulationSession(ppm_config=paper_config, cache_dir=cache_dir)
         session.simulate_batch(SEQUENCE_LENGTHS, backends=["lightnobel"])
-        session_warm = time_call(
+        percall_warm, session_warm = interleaved_medians(
+            lambda: [accelerator.simulate(n).total_seconds for n in SEQUENCE_LENGTHS],
             lambda: session.simulate_batch(
                 SEQUENCE_LENGTHS, backends=["lightnobel"]
             ).totals("lightnobel"),
-            repeats=5,
+            rounds=ROUNDS,
         )
 
         cold_speedup = percall_cold / session_cold

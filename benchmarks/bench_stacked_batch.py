@@ -17,12 +17,10 @@ Two guards:
 The headline 50-length measurement and the planner-grid wall-clock
 before/after are printed and written to ``BENCH_stacked_batch.json`` for
 EXPERIMENTS.md.  Every comparison times its sides in interleaved rounds and
-compares medians (see :func:`time_call`).
+compares medians (see :mod:`_timing`).
 """
 
-import statistics
-import time
-
+from _timing import interleaved_medians
 from conftest import emit_bench_json, print_table
 
 from repro.cluster import (
@@ -55,23 +53,6 @@ def length_mix(count, start=16, step=8):
 ROUNDS = 21
 
 
-def time_call(*fns, rounds=ROUNDS):
-    """Median seconds of each call in ``fns``, timed in interleaved rounds.
-
-    Every round times each call once, in turn, so drift on a shared host
-    hits all of them alike, and the median drops the rounds a neighbour
-    stole; a back-to-back minimum lets one side catch a quiet window the
-    other misses.
-    """
-    samples = [[] for _ in fns]
-    for _ in range(rounds):
-        for fn, times in zip(fns, samples):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-    return tuple(statistics.median(times) for times in samples)
-
-
 def assert_parity(per_length, stacked):
     """Stacked segment reports must match per-length reports to <= 1e-9."""
     assert len(per_length) == len(stacked)
@@ -95,9 +76,10 @@ def measure_backend(config, backend_name, lengths):
     stacked_reports = backend.simulate_stack(stack)
     assert_parity(per_length_reports, stacked_reports)
 
-    loop, stacked = time_call(
+    loop, stacked = interleaved_medians(
         lambda: [backend.simulate_table(t) for t in tables],
         lambda: backend.simulate_stack(stack),
+        rounds=ROUNDS,
     )
     return loop, stacked, loop / stacked
 
@@ -163,9 +145,10 @@ def test_stacked_totals_headline():
         (r.total_seconds, r.out_of_memory) for r in reference
     ]
 
-    loop, totals = time_call(
+    loop, totals = interleaved_medians(
         lambda: [backend.simulate_table(t).total_seconds for t in tables],
         lambda: backend.simulate_stack_totals(stack),
+        rounds=ROUNDS,
     )
 
     def session_loop():
@@ -179,7 +162,9 @@ def test_stacked_totals_headline():
         return session.batch_total_seconds(lengths, backends=["lightnobel"])
 
     session_loop()  # warm the process-wide table LRU
-    session_before, session_after = time_call(session_loop, session_totals)
+    session_before, session_after = interleaved_medians(
+        session_loop, session_totals, rounds=ROUNDS
+    )
 
     print_table(
         f"Totals-only mix pricing ({HEADLINE_MIX} lengths, lightnobel)",
@@ -265,7 +250,7 @@ def test_planner_prefetch_wall_clock():
             for n in distinct
         }
 
-    before, after, bucketed = time_call(
+    before, after, bucketed = interleaved_medians(
         per_length_prefetch,
         lambda: prefetch_service_times(trace, fleet, session=fresh_session()),
         lambda: prefetch_service_times(

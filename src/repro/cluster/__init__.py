@@ -39,6 +39,11 @@ Capacity planning (smallest fleet meeting a 95% SLO)::
                          policies=("fifo", "sjf", "bucketed", "edf"))
     plan.minimal_fleet(), plan.cheapest_plan(), plan.attainment_curve("edf")
 
+Every planner entry point (:func:`plan_capacity`, :func:`compare_fleets`,
+:func:`plan_capacity_under_scenarios`) is one grid of (trace or scenario)
+x fleet x policy whose cells are plain :func:`replay_trace` calls, and
+returns a :class:`CapacityPlan`.
+
 Fault injection and closed-loop control (all optional keyword arguments of
 :func:`replay_trace`; every default preserves the open-loop replay
 bit-for-bit)::
@@ -66,6 +71,8 @@ top of any scheduler, fleet-vs-fleet pricing, and live-traffic replay::
 
     from repro.cluster import RequestTrace, compare_fleets, mixed_fleet_experiment
     report = replay_trace(trace, mixed_fleet, scheduler="edf", router="cost-greedy")
+    plan = compare_fleets(trace, fleets, router="cost-greedy")   # a CapacityPlan
+    plan.cheapest_per_fleet()
     summary = mixed_fleet_experiment()          # big+cheap beats all-big, in $/M
     print(*summary.summary_lines(), sep="\\n")
 
@@ -114,7 +121,6 @@ from .fleet import (
 )
 from .planner import (
     CapacityPlan,
-    FleetComparison,
     PlanPoint,
     compare_fleets,
     plan_capacity,
@@ -179,7 +185,6 @@ __all__ = [
     "FAIL_FAST",
     "FIFOScheduler",
     "FaultSchedule",
-    "FleetComparison",
     "FleetSpec",
     "GroupInfo",
     "LengthThresholdRouter",

@@ -1,30 +1,33 @@
 """Capacity planning: the smallest (or cheapest) fleet that meets an SLO.
 
-:func:`plan_capacity` sweeps fleet sizes x scheduling policies over one
-trace and returns a :class:`CapacityPlan` answering the operator questions:
+Every planner question is one grid — (trace or scenario) x fleet x
+scheduling policy — replayed cell by cell through
+:func:`~repro.cluster.des.replay_trace` and ranked in a
+:class:`CapacityPlan`.  The public entry points only choose the grid's axes:
 
-* the **minimal fleet size** per policy whose
+* :func:`plan_capacity` rescales one homogeneous worker group over fleet
+  sizes on one trace, answering the operator questions — the **minimal
+  fleet size** per policy whose
   :attr:`~repro.cluster.des.ClusterReport.slo_attainment` reaches the
-  target — the Fig.-12-style saturation knee, but for SLO capacity instead
-  of single-request latency,
-* the **cheapest plan** overall (a better policy often meets the SLO with
-  fewer, or cheaper, workers — that delta is the point of the subsystem).
-
-:func:`compare_fleets` prices *arbitrary* fleets — mixed ones included —
-against each other on one trace: a couple of big-memory nodes backstopping
-a sea of cheap small-memory ones (dispatched through a
-:mod:`repro.cluster.routing` policy) versus the homogeneous alternatives.
-The answer is the mixed-fleet claim in dollars: which fleet meets the SLO
-at the lowest cost per million requests.
+  target (the Fig.-12-style saturation knee, but for SLO capacity instead of
+  single-request latency) and the **cheapest plan** overall (a better
+  policy often meets the SLO with fewer, or cheaper, workers);
+* :func:`compare_fleets` prices *arbitrary* fleets — mixed ones included —
+  against each other on one trace: a couple of big-memory nodes
+  backstopping a sea of cheap small-memory ones (dispatched through a
+  :mod:`repro.cluster.routing` policy) versus the homogeneous alternatives;
+* :func:`plan_capacity_under_scenarios` replays the fleet-size grid once
+  per :class:`~repro.cluster.scenarios.ClusterScenario`, faults and
+  controllers applied, and :func:`robust_minimal_fleet` intersects the
+  plans.
 
 The expensive stage — simulating every distinct (backend, length) pair — is
-shared across the whole grid: one :func:`~repro.cluster.des.prefetch_service_times`
-call (one stacked pass per backend) feeds every replay, because fleet size
-and policy change queueing, never per-request service time.  ``compare_fleets`` extends the
-sharing across fleets: backend specs are deduplicated by content digest, so
-a backend appearing in five candidate fleets is simulated once.  Replays
-themselves are pure Python and deterministic, so a plan is exactly
-reproducible.
+shared across the whole grid: backend specs are deduplicated by content
+digest and each distinct trace gets one
+:func:`~repro.cluster.des.prefetch_service_times` call (one stacked pass per
+backend), because fleet size, policy and faults change queueing, never
+per-request service time.  Replays are pure Python and deterministic, so a
+plan is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..ppm.config import PPMConfig
 from ..sim.session import SimulationSession
-from .des import ClusterReport, ServiceTimes, prefetch_service_times, replay_trace
+from .des import ClusterReport, prefetch_service_times, replay_trace
 from .fleet import FleetSpec, WorkerGroup, _spec_digest
 from .routing import RouterSpec
 from .scheduler import SchedulerSpec, scheduler_name
@@ -47,7 +50,7 @@ if TYPE_CHECKING:  # optional routing + scenarios, kept import-cycle free
 
 @dataclass(frozen=True)
 class PlanPoint:
-    """One (fleet size, policy) cell of the capacity grid."""
+    """One (fleet, policy) cell of a planner grid."""
 
     fleet: FleetSpec
     policy: str
@@ -57,9 +60,25 @@ class PlanPoint:
         return self.report.slo_attainment >= slo_target
 
 
+def _smallest(points: Sequence[PlanPoint]) -> Optional[PlanPoint]:
+    """Fewest workers, then cheaper per hour, then higher attainment."""
+    return min(
+        points,
+        key=lambda p: (
+            p.fleet.num_workers, p.fleet.cost_per_hour, -p.report.slo_attainment
+        ),
+        default=None,
+    )
+
+
+def _cheapest(points: Sequence[PlanPoint]) -> Optional[PlanPoint]:
+    """Lowest cost per million requests."""
+    return min(points, key=lambda p: p.report.cost_per_million_requests, default=None)
+
+
 @dataclass(frozen=True)
 class CapacityPlan:
-    """Outcome of one :func:`plan_capacity` sweep."""
+    """One planner grid over one trace: every (fleet, policy) cell's report."""
 
     trace_name: str
     slo_target: float
@@ -69,8 +88,17 @@ class CapacityPlan:
         return [p for p in self.points if p.policy == policy]
 
     def policies(self) -> List[str]:
-        seen = dict.fromkeys(p.policy for p in self.points)
-        return list(seen)
+        return list(dict.fromkeys(p.policy for p in self.points))
+
+    def for_fleet(self, name: str) -> List[PlanPoint]:
+        return [p for p in self.points if p.fleet.name == name]
+
+    def fleet_names(self) -> List[str]:
+        return list(dict.fromkeys(p.fleet.name for p in self.points))
+
+    def meeting(self) -> List[PlanPoint]:
+        """Every cell whose attainment reaches the target."""
+        return [p for p in self.points if p.meets(self.slo_target)]
 
     def minimal_fleet(self, policy: Optional[str] = None) -> Optional[PlanPoint]:
         """Smallest fleet meeting the SLO target (optionally for one policy).
@@ -78,30 +106,21 @@ class CapacityPlan:
         Ties across policies at the same size resolve to the cheaper, then
         higher-attainment, point.
         """
-        candidates = [
-            p
-            for p in (self.points if policy is None else self.for_policy(policy))
-            if p.report.slo_attainment >= self.slo_target
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda p: (
-                p.fleet.num_workers,
-                p.fleet.cost_per_hour,
-                -p.report.slo_attainment,
-            ),
+        return _smallest(
+            [p for p in self.meeting() if policy is None or p.policy == policy]
         )
 
     def cheapest_plan(self) -> Optional[PlanPoint]:
-        """Lowest cost-per-million point meeting the SLO target."""
-        candidates = [
-            p for p in self.points if p.report.slo_attainment >= self.slo_target
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.report.cost_per_million_requests)
+        """Lowest cost-per-million cell meeting the SLO target."""
+        return _cheapest(self.meeting())
+
+    def cheapest_per_fleet(self) -> Dict[str, Optional[PlanPoint]]:
+        """Each fleet's cheapest SLO-meeting cell (None = never meets it)."""
+        meeting = self.meeting()
+        return {
+            name: _cheapest([p for p in meeting if p.fleet.name == name])
+            for name in self.fleet_names()
+        }
 
     def attainment_curve(self, policy: str) -> List[Tuple[int, float]]:
         """(fleet size, SLO attainment) pairs — the fleet-size-vs-SLO curve."""
@@ -109,6 +128,96 @@ class CapacityPlan:
             (p.fleet.num_workers, p.report.slo_attainment)
             for p in sorted(self.for_policy(policy), key=lambda p: p.fleet.num_workers)
         ]
+
+
+def _fresh(policy: SchedulerSpec) -> SchedulerSpec:
+    """A fresh copy of a scheduler *instance* (names and classes pass through).
+
+    Instances are stateful (bucket cursors, quotas): every grid cell replays
+    against its own copy, so a cell's report equals a standalone replay.
+    """
+    fresh = getattr(policy, "fresh", None)
+    return fresh() if callable(fresh) and not isinstance(policy, type) else policy
+
+
+def _size_sweep(
+    base_fleet: Optional[FleetSpec], fleet_sizes: Sequence[int]
+) -> List[FleetSpec]:
+    """``base_fleet``'s single worker group rescaled to each distinct size."""
+    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
+    if len(base_fleet.groups) != 1:
+        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
+    sizes = sorted(dict.fromkeys(int(s) for s in fleet_sizes))
+    return [base_fleet.with_size(size) for size in sizes]
+
+
+def _grid(
+    runs: Sequence[Tuple[RequestTrace, Mapping[str, object]]],
+    fleets: Sequence[FleetSpec],
+    policies: Sequence[SchedulerSpec],
+    slo_target: float,
+    ppm_config: Optional[PPMConfig],
+    session: Optional[SimulationSession],
+    service: Optional["LatencyService"],
+    length_bucket_size: Optional[int],
+    **replay_kwargs,
+) -> List[CapacityPlan]:
+    """One :class:`CapacityPlan` per ``(trace, replay kwargs)`` run.
+
+    Every run replays ``fleets`` x ``policies`` with its own keyword
+    arguments (a scenario's faults and controllers) on top of
+    ``replay_kwargs``.  Inputs are checked before the prefetch.  Each
+    distinct trace *object* is prefetched once over every distinct backend
+    spec; the dedupe keys on identity because a trace's content digest is
+    not memoized and costs more than a repeat prefetch, which is a session
+    memo hit.
+    """
+    if not 0.0 < slo_target <= 1.0:
+        raise ValueError("slo_target must be in (0, 1]")
+    if not fleets:
+        raise ValueError("the planner grid needs at least one fleet")
+    if not policies:
+        raise ValueError("the planner grid needs at least one policy")
+    # Backend specs deduplicated by content digest: digest -> (index, spec);
+    # ``sources`` maps each fleet's groups to their prefetch group index.
+    specs: Dict[str, Tuple[int, object]] = {}
+    sources = [
+        [
+            specs.setdefault(_spec_digest(g.backend), (len(specs), g.backend))[0]
+            for g in fleet.groups
+        ]
+        for fleet in fleets
+    ]
+    prefetch_fleet = FleetSpec(
+        groups=tuple(WorkerGroup(backend=spec, count=1) for _, spec in specs.values()),
+        name="planner-prefetch",
+    )
+    shared_by_trace: Dict[int, Mapping] = {}
+    plans: List[CapacityPlan] = []
+    for trace, run_kwargs in runs:
+        if id(trace) not in shared_by_trace:
+            shared_by_trace[id(trace)] = prefetch_service_times(
+                trace, prefetch_fleet, ppm_config=ppm_config, session=session,
+                service=service, length_bucket_size=length_bucket_size,
+            )
+        shared = shared_by_trace[id(trace)]
+        points: List[PlanPoint] = []
+        for fleet, fleet_sources in zip(fleets, sources):
+            # Re-key the shared table to this fleet's group indices.
+            times = {
+                (gi, n): seconds
+                for gi, src in enumerate(fleet_sources)
+                for (s, n), seconds in shared.items()
+                if s == src
+            }
+            for policy in policies:
+                report = replay_trace(
+                    trace, fleet, scheduler=_fresh(policy), service_times=times,
+                    **replay_kwargs, **run_kwargs,
+                )
+                points.append(PlanPoint(fleet, scheduler_name(policy), report))
+        plans.append(CapacityPlan(trace.name, slo_target, tuple(points)))
+    return plans
 
 
 def plan_capacity(
@@ -137,104 +246,14 @@ def plan_capacity(
     shrinking the planner grid's simulation cost from O(distinct lengths) to
     O(buckets).  Default ``None`` keeps exact per-length pricing.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
-    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
-    if len(base_fleet.groups) != 1:
-        # Fail before the prefetch: with_size() would raise anyway, but only
-        # after the expensive service-time stage already ran.
-        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
-    # One prefetch serves the whole grid: service times depend only on the
-    # worker group's backend and the request length.
-    times = prefetch_service_times(
-        trace,
-        base_fleet,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        length_bucket_size=length_bucket_size,
+    (plan,) = _grid(
+        [(trace, {})], _size_sweep(base_fleet, fleet_sizes), policies, slo_target,
+        ppm_config, session, service, length_bucket_size,
+        dispatch_overhead_seconds=dispatch_overhead_seconds,
+        same_length_reuse_discount=same_length_reuse_discount,
+        router=router,
     )
-    points: List[PlanPoint] = []
-    for size in sorted(dict.fromkeys(int(s) for s in fleet_sizes)):
-        fleet = base_fleet.with_size(size)
-        for policy in policies:
-            # Scheduler *instances* are stateful (bucket cursors, quotas):
-            # every grid cell replays against a fresh copy so a cell's report
-            # is identical to a standalone replay of that cell.
-            fresh = getattr(policy, "fresh", None)
-            cell_policy = fresh() if callable(fresh) and not isinstance(policy, type) else policy
-            report = replay_trace(
-                trace,
-                fleet,
-                scheduler=cell_policy,
-                service_times=times,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                same_length_reuse_discount=same_length_reuse_discount,
-                router=router,
-            )
-            points.append(
-                PlanPoint(fleet=fleet, policy=scheduler_name(policy), report=report)
-            )
-    return CapacityPlan(
-        trace_name=trace.name, slo_target=slo_target, points=tuple(points)
-    )
-
-
-@dataclass(frozen=True)
-class FleetComparison:
-    """Outcome of one :func:`compare_fleets` sweep across candidate fleets."""
-
-    trace_name: str
-    slo_target: float
-    points: Tuple[PlanPoint, ...]
-
-    def for_fleet(self, name: str) -> List[PlanPoint]:
-        return [p for p in self.points if p.fleet.name == name]
-
-    def fleet_names(self) -> List[str]:
-        return list(dict.fromkeys(p.fleet.name for p in self.points))
-
-    def meeting(self) -> List[PlanPoint]:
-        """Every (fleet, policy) cell whose attainment reaches the target."""
-        return [
-            p for p in self.points if p.report.slo_attainment >= self.slo_target
-        ]
-
-    def cheapest_plan(self) -> Optional[PlanPoint]:
-        """Lowest cost-per-million cell meeting the SLO target."""
-        candidates = self.meeting()
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.report.cost_per_million_requests)
-
-    def cheapest_per_fleet(self) -> Dict[str, Optional[PlanPoint]]:
-        """Each fleet's cheapest SLO-meeting cell (None = never meets it)."""
-        result: Dict[str, Optional[PlanPoint]] = {}
-        for name in self.fleet_names():
-            meeting = [
-                p
-                for p in self.for_fleet(name)
-                if p.report.slo_attainment >= self.slo_target
-            ]
-            result[name] = (
-                min(meeting, key=lambda p: p.report.cost_per_million_requests)
-                if meeting
-                else None
-            )
-        return result
-
-    def summary_lines(self) -> Tuple[str, ...]:
-        lines = []
-        for name, point in self.cheapest_per_fleet().items():
-            if point is None:
-                lines.append(f"{name}: never meets {self.slo_target:.0%} SLO")
-            else:
-                lines.append(
-                    f"{name}: ${point.report.cost_per_million_requests:.2f}/M"
-                    f" at {point.report.slo_attainment:.4f} SLO"
-                    f" ({point.policy}, router={point.report.router})"
-                )
-        return tuple(lines)
+    return plan
 
 
 def compare_fleets(
@@ -249,7 +268,7 @@ def compare_fleets(
     dispatch_overhead_seconds: float = 0.0,
     same_length_reuse_discount: float = 0.0,
     length_bucket_size: Optional[int] = None,
-) -> FleetComparison:
+) -> CapacityPlan:
     """Price arbitrary (mixed included) fleets against one trace and SLO.
 
     The mixed-fleet sibling of :func:`plan_capacity`: instead of rescaling
@@ -257,70 +276,17 @@ def compare_fleets(
     replays as-is — heterogeneous groups, per-group costs and all — under
     every policy, with ``router`` applied to each replay (pass e.g.
     ``"cost-greedy"`` so a mixed fleet actually exploits its cheap groups;
-    ``None`` replays the group-oblivious baseline).
-
-    Backend specs are deduplicated across fleets by content digest, so the
-    prefetch simulates each distinct backend once no matter how many
-    candidate fleets share it.
+    ``None`` replays the group-oblivious baseline).  Read the answer with
+    :meth:`CapacityPlan.cheapest_per_fleet` / :meth:`CapacityPlan.cheapest_plan`.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
-    if not fleets:
-        raise ValueError("compare_fleets needs at least one candidate fleet")
-    # One prefetch prices each distinct backend spec once; per-fleet tables
-    # are then re-keyed views of it.
-    distinct: Dict[str, object] = {}
-    for fleet in fleets:
-        for group in fleet.groups:
-            distinct.setdefault(_spec_digest(group.backend), group.backend)
-    digests = list(distinct)
-    synthetic = FleetSpec(
-        groups=tuple(
-            WorkerGroup(backend=distinct[d], count=1) for d in digests
-        ),
-        name="compare-fleets-prefetch",
+    (plan,) = _grid(
+        [(trace, {})], fleets, policies, slo_target,
+        ppm_config, session, service, length_bucket_size,
+        dispatch_overhead_seconds=dispatch_overhead_seconds,
+        same_length_reuse_discount=same_length_reuse_discount,
+        router=router,
     )
-    shared = prefetch_service_times(
-        trace,
-        synthetic,
-        ppm_config=ppm_config,
-        session=session,
-        service=service,
-        length_bucket_size=length_bucket_size,
-    )
-    source_index = {d: i for i, d in enumerate(digests)}
-    lengths = trace.distinct_lengths()
-    points: List[PlanPoint] = []
-    for fleet in fleets:
-        times: ServiceTimes = {}
-        for gi, group in enumerate(fleet.groups):
-            src = source_index[_spec_digest(group.backend)]
-            for n in lengths:
-                times[(gi, n)] = shared[(src, n)]
-        for policy in policies:
-            fresh = getattr(policy, "fresh", None)
-            cell_policy = (
-                fresh()
-                if callable(fresh) and not isinstance(policy, type)
-                else policy
-            )
-            report = replay_trace(
-                trace,
-                fleet,
-                scheduler=cell_policy,
-                service_times=times,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                same_length_reuse_discount=same_length_reuse_discount,
-                router=router,
-            )
-            points.append(
-                PlanPoint(
-                    fleet=fleet, policy=scheduler_name(policy), report=report
-                )
-            )
-    return FleetComparison(
-        trace_name=trace.name, slo_target=slo_target, points=tuple(points)
-    )
+    return plan
 
 
 def plan_capacity_under_scenarios(
@@ -347,54 +313,14 @@ def plan_capacity_under_scenarios(
     :func:`robust_minimal_fleet` for the fleet that survives *every*
     scenario.
     """
-    if not 0.0 < slo_target <= 1.0:
-        raise ValueError("slo_target must be in (0, 1]")
-    base_fleet = base_fleet or FleetSpec.homogeneous("lightnobel", 1)
-    if len(base_fleet.groups) != 1:
-        raise ValueError("base_fleet must be homogeneous for a fleet-size sweep")
-    sizes = sorted(dict.fromkeys(int(s) for s in fleet_sizes))
-    times_by_trace: Dict[str, object] = {}
-    plans: Dict[str, CapacityPlan] = {}
-    for scenario in scenarios:
-        digest = scenario.trace.config_digest()
-        if digest not in times_by_trace:
-            times_by_trace[digest] = prefetch_service_times(
-                scenario.trace,
-                base_fleet,
-                ppm_config=ppm_config,
-                session=session,
-                service=service,
-                length_bucket_size=length_bucket_size,
-            )
-        times = times_by_trace[digest]
-        points: List[PlanPoint] = []
-        for size in sizes:
-            fleet = base_fleet.with_size(size)
-            for policy in policies:
-                fresh = getattr(policy, "fresh", None)
-                cell_policy = (
-                    fresh()
-                    if callable(fresh) and not isinstance(policy, type)
-                    else policy
-                )
-                report = scenario.replay(
-                    fleet,
-                    scheduler=cell_policy,
-                    service_times=times,
-                    dispatch_overhead_seconds=dispatch_overhead_seconds,
-                    same_length_reuse_discount=same_length_reuse_discount,
-                )
-                points.append(
-                    PlanPoint(
-                        fleet=fleet, policy=scheduler_name(policy), report=report
-                    )
-                )
-        plans[scenario.name] = CapacityPlan(
-            trace_name=scenario.trace.name,
-            slo_target=slo_target,
-            points=tuple(points),
-        )
-    return plans
+    plans = _grid(
+        [(scenario.trace, scenario.controls()) for scenario in scenarios],
+        _size_sweep(base_fleet, fleet_sizes), policies, slo_target,
+        ppm_config, session, service, length_bucket_size,
+        dispatch_overhead_seconds=dispatch_overhead_seconds,
+        same_length_reuse_discount=same_length_reuse_discount,
+    )
+    return {scenario.name: plan for scenario, plan in zip(scenarios, plans)}
 
 
 def robust_minimal_fleet(
@@ -416,21 +342,11 @@ def robust_minimal_fleet(
     for plan in plans.values():
         cells = {
             (p.fleet.num_workers, p.policy): p
-            for p in plan.points
-            if (policy is None or p.policy == policy)
-            and p.report.slo_attainment >= plan.slo_target
+            for p in plan.meeting()
+            if policy is None or p.policy == policy
         }
         if survivors is None:
             survivors = cells
         else:
             survivors = {k: v for k, v in survivors.items() if k in cells}
-    if not survivors:
-        return None
-    return min(
-        survivors.values(),
-        key=lambda p: (
-            p.fleet.num_workers,
-            p.fleet.cost_per_hour,
-            -p.report.slo_attainment,
-        ),
-    )
+    return _smallest(list(survivors.values()))

@@ -30,7 +30,7 @@ number, not an adjective.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .._digest import stable_digest
 from ..gpu.gpu_config import GPUS, GPUSpec
@@ -40,13 +40,13 @@ from .control import AdmissionController, Autoscaler
 from .des import (
     ClusterReport,
     RequestOutcome,
-    ServiceTimes,
     prefetch_service_times,
+    replay_trace,
     replay_trace_outcomes,
 )
 from .faults import NO_FAULTS, FaultSchedule, RecoveryPolicy
 from .fleet import FleetSpec, MultiChipVariant, WorkerGroup
-from .planner import FleetComparison, PlanPoint, compare_fleets, plan_capacity
+from .planner import CapacityPlan, PlanPoint, _cheapest, compare_fleets, plan_capacity
 from .routing import RouterSpec
 from .scheduler import SchedulerSpec
 from .trace import (
@@ -58,7 +58,6 @@ from .trace import (
 )
 
 if TYPE_CHECKING:  # optional routing, kept import-cycle free
-    from ..obs.timeline import TimelineRecorder
     from ..serving.service import LatencyService
 
 
@@ -73,62 +72,33 @@ class ClusterScenario:
     admission: Optional[AdmissionController] = None
     autoscaler: Optional[Autoscaler] = None
 
+    def controls(self) -> Dict[str, object]:
+        """The fault and controller keyword arguments of a replay."""
+        return {
+            "faults": self.faults,
+            "recovery": self.recovery,
+            "admission": self.admission,
+            "autoscaler": self.autoscaler,
+        }
+
     def replay(
-        self,
-        fleet: FleetSpec,
-        scheduler: SchedulerSpec = "edf",
-        ppm_config: Optional[PPMConfig] = None,
-        session: Optional[SimulationSession] = None,
-        service: Optional["LatencyService"] = None,
-        service_times: Optional[ServiceTimes] = None,
-        dispatch_overhead_seconds: float = 0.0,
-        same_length_reuse_discount: float = 0.0,
-        router: RouterSpec = None,
-        timeline: Optional["TimelineRecorder"] = None,
+        self, fleet: FleetSpec, scheduler: SchedulerSpec = "edf", **kwargs
     ) -> ClusterReport:
-        report, _ = self.replay_outcomes(
-            fleet,
-            scheduler=scheduler,
-            ppm_config=ppm_config,
-            session=session,
-            service=service,
-            service_times=service_times,
-            dispatch_overhead_seconds=dispatch_overhead_seconds,
-            same_length_reuse_discount=same_length_reuse_discount,
-            router=router,
-            timeline=timeline,
+        """:func:`~repro.cluster.des.replay_trace` of this scenario on ``fleet``.
+
+        ``kwargs`` forward to ``replay_trace`` (``service_times``,
+        ``session``, ``router``, ``timeline``, ...).
+        """
+        return replay_trace(
+            self.trace, fleet, scheduler=scheduler, **kwargs, **self.controls()
         )
-        return report
 
     def replay_outcomes(
-        self,
-        fleet: FleetSpec,
-        scheduler: SchedulerSpec = "edf",
-        ppm_config: Optional[PPMConfig] = None,
-        session: Optional[SimulationSession] = None,
-        service: Optional["LatencyService"] = None,
-        service_times: Optional[ServiceTimes] = None,
-        dispatch_overhead_seconds: float = 0.0,
-        same_length_reuse_discount: float = 0.0,
-        router: RouterSpec = None,
-        timeline: Optional["TimelineRecorder"] = None,
+        self, fleet: FleetSpec, scheduler: SchedulerSpec = "edf", **kwargs
     ) -> Tuple[ClusterReport, Tuple[RequestOutcome, ...]]:
+        """:meth:`replay` plus the per-request :class:`RequestOutcome` log."""
         return replay_trace_outcomes(
-            self.trace,
-            fleet,
-            scheduler=scheduler,
-            ppm_config=ppm_config,
-            session=session,
-            service=service,
-            service_times=service_times,
-            dispatch_overhead_seconds=dispatch_overhead_seconds,
-            same_length_reuse_discount=same_length_reuse_discount,
-            faults=self.faults,
-            recovery=self.recovery,
-            admission=self.admission,
-            autoscaler=self.autoscaler,
-            router=router,
-            timeline=timeline,
+            self.trace, fleet, scheduler=scheduler, **kwargs, **self.controls()
         )
 
     def config_digest(self) -> str:
@@ -386,9 +356,6 @@ def resilience_experiment(
         policies=(scheduler,),
         slo_target=slo_target,
         same_length_reuse_discount=same_length_reuse_discount,
-        # plan_capacity re-prefetches unless given a service_times shortcut;
-        # replay_trace accepts ours directly below, and the planner shares
-        # the session memo cache, so the prefetch above is the only slow one.
         ppm_config=ppm_config,
         session=session,
         service=service,
@@ -534,7 +501,7 @@ class MixedFleetSummary:
     """
 
     slo_target: float
-    comparison: FleetComparison
+    comparison: CapacityPlan
     best_mixed: Optional[PlanPoint]
     best_homogeneous: Optional[PlanPoint]
 
@@ -596,21 +563,10 @@ def mixed_fleet_experiment(
         session=session,
         service=service,
     )
-    by_side: dict = {"mixed": [], "homogeneous": []}
-    for point in comparison.meeting():
-        side = "mixed" if len(point.fleet.groups) > 1 else "homogeneous"
-        by_side[side].append(point)
-    pick = lambda side: (
-        min(
-            by_side[side],
-            key=lambda p: p.report.cost_per_million_requests,
-        )
-        if by_side[side]
-        else None
-    )
+    meeting = comparison.meeting()
     return MixedFleetSummary(
         slo_target=slo_target,
         comparison=comparison,
-        best_mixed=pick("mixed"),
-        best_homogeneous=pick("homogeneous"),
+        best_mixed=_cheapest([p for p in meeting if len(p.fleet.groups) > 1]),
+        best_homogeneous=_cheapest([p for p in meeting if len(p.fleet.groups) == 1]),
     )

@@ -29,8 +29,8 @@ each of them over one shared stack::
     specs = [LightNobelConfig(num_rmpus=r) for r in (8, 16, 32)]
     batch = session.simulate_batch([200, 400], backends=specs)
 
-Disk cache (cross-process reuse of tables and reports; version-stamped, safe
-to delete)::
+Disk cache (cross-process reuse of tables and reports; stamped with a digest
+of the pricing source, safe to delete)::
 
     session = SimulationSession(cache_dir="/tmp/repro-sim")
     # or: export REPRO_SIM_CACHE_DIR=/tmp/repro-sim

@@ -4,10 +4,11 @@ Cross-process companion to the in-process LRU of
 :mod:`repro.ppm.op_table`: a sharded DSE sweep (or a fresh CI process)
 should not rebuild the ~3k-operator graph for a (config, length) pair that
 any earlier process already built.  Entries are pickle files named by a
-stable config digest (:mod:`repro._digest`), wrapped in a version-stamped
-envelope:
+stable config digest (:mod:`repro._digest`), wrapped in a stamped envelope:
 
-* a schema-version mismatch (older/newer code) invalidates the entry,
+* a schema-version mismatch (older/newer payload layout) invalidates the entry,
+* a pricing-source mismatch (:func:`pricing_source_digest` — any edit to the
+  workload builder or a cost model) invalidates the entry,
 * a key mismatch (hash collision, renamed file) invalidates the entry,
 * a corrupt/truncated pickle invalidates the entry,
 
@@ -21,23 +22,42 @@ concurrent processes can share one directory.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from .. import __version__
-
 #: Bump whenever the pickled payload layout changes; older entries then
-#: self-invalidate instead of deserializing into garbage.  Entries are also
-#: stamped with ``repro.__version__`` so cached tables/reports cannot outlive
-#: a release that changes workload-builder or cost-model semantics.
+#: self-invalidate instead of deserializing into garbage.
 CACHE_SCHEMA_VERSION = 1
+
+#: Subpackages of ``repro`` whose source builds operator tables or prices
+#: them; entries are stamped with a digest of their ``.py`` files.
+PRICING_PACKAGES = ("ppm", "core", "hardware", "gpu", "sim")
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SIM_CACHE_DIR"
+
+
+@lru_cache(maxsize=None)
+def pricing_source_digest() -> str:
+    """SHA-256 over the source of :data:`PRICING_PACKAGES`, once per process.
+
+    A cached table or report is only valid for the code that computed it,
+    so the stamp hashes that code rather than a hand-bumped version.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for package in PRICING_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -70,7 +90,7 @@ def sandbox_cache_dir(path: Path | str):
 
 
 class DiskCache:
-    """Digest-keyed pickle cache with a version-stamped envelope."""
+    """Digest-keyed pickle cache with a stamped envelope."""
 
     def __init__(self, root: Optional[Path | str] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -107,7 +127,7 @@ class DiskCache:
         if (
             not isinstance(envelope, dict)
             or envelope.get("version") != CACHE_SCHEMA_VERSION
-            or envelope.get("repro_version") != __version__
+            or envelope.get("source_digest") != pricing_source_digest()
             or envelope.get("key") != key
             or "payload" not in envelope
         ):
@@ -122,7 +142,7 @@ class DiskCache:
         self.root.mkdir(parents=True, exist_ok=True)
         envelope = {
             "version": CACHE_SCHEMA_VERSION,
-            "repro_version": __version__,
+            "source_digest": pricing_source_digest(),
             "key": key,
             "payload": payload,
         }

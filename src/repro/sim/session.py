@@ -10,7 +10,7 @@ A :class:`SimulationSession` owns, for one :class:`~repro.ppm.config.PPMConfig`:
   :class:`~repro.hardware.config.LightNobelConfig`, ...),
 * the **report memo** — one :class:`~repro.sim.backend.SimReport` per
   (backend, length) pair, memoized in memory and optionally persisted to the
-  version-stamped disk cache of :mod:`repro.sim.cache`.
+  source-stamped disk cache of :mod:`repro.sim.cache`.
 
 :meth:`SimulationSession.simulate_batch` stacks the distinct lengths of a
 batch and prices each requested backend over the stack in one pass — the

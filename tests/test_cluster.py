@@ -28,14 +28,17 @@ from repro.cluster import (
     SLOPolicy,
     WorkerGroup,
     bursty_trace,
+    compare_fleets,
     create_scheduler,
     dataset_lengths,
     mixture_lengths,
     plan_capacity,
+    plan_capacity_under_scenarios,
     poisson_trace,
     prefetch_service_times,
     replay_trace,
     replay_trace_outcomes,
+    scenario_suite,
 )
 from repro.cluster.scheduler import scheduler_name
 from repro.hardware import ChipLinkSpec
@@ -711,10 +714,29 @@ class TestPlanner:
         with pytest.raises(ValueError, match="homogeneous"):
             plan_capacity(trace, base_fleet=mixed, fleet_sizes=(1, 2))
 
-    def test_stateful_scheduler_instance_gets_a_fresh_copy_per_cell(self, tiny_session):
-        """A BucketedScheduler instance carries bucket cursors/quota; every
-        grid cell must replay against a fresh copy so the cell's report
-        matches a standalone replay (regression: state leaked across cells)."""
+    def test_empty_axis_raises_before_prefetch(self):
+        """An empty fleet-size or policy axis used to return an empty plan,
+        whose ``minimal_fleet()`` of None reads as "no fleet meets the SLO".
+        ``service=object()`` would raise AttributeError if the prefetch ran."""
+        pool, _ = mixture_lengths([(24, 1.0)])
+        trace = poisson_trace(rate_rps=10.0, num_requests=5, length_pool=pool, seed=0)
+        for axes in (dict(fleet_sizes=()), dict(policies=())):
+            with pytest.raises(ValueError, match="at least one"):
+                plan_capacity(trace, service=object(), **axes)
+            with pytest.raises(ValueError, match="at least one"):
+                plan_capacity_under_scenarios(
+                    scenario_suite(), service=object(), **axes
+                )
+
+    @pytest.mark.parametrize(
+        "entry", ["plan_capacity", "compare_fleets", "plan_capacity_under_scenarios"]
+    )
+    def test_every_grid_cell_equals_its_standalone_replay(self, entry, tiny_session):
+        """Every cell of every planner entry point equals a standalone
+        ``replay_trace`` of that cell: service times prefetched for the cell's
+        own fleet, the router, a scenario's faults and controllers, and a
+        fresh copy of a stateful BucketedScheduler instance (regression:
+        bucket cursors/quota leaked across cells)."""
         pool, weights = mixture_lengths(PINNED_MIX)
         trace = bursty_trace(
             rate_rps=300.0, num_requests=150, length_pool=pool,
@@ -722,18 +744,53 @@ class TestPlanner:
         )
         base = FleetSpec.homogeneous("h100-chunk", 1)
         shared_instance = BucketedScheduler(min_bucket=64, batch_size=4)
-        plan = plan_capacity(
-            trace, base_fleet=base, fleet_sizes=(2, 4),
-            policies=(shared_instance,), session=tiny_session,
+        grid = dict(
+            policies=("edf", shared_instance),
+            session=tiny_session,
+            same_length_reuse_discount=PINNED_REUSE_DISCOUNT,
         )
-        times = prefetch_service_times(trace, base, session=tiny_session)
-        for point in plan.points:
-            standalone = replay_trace(
-                trace, point.fleet,
-                scheduler=BucketedScheduler(min_bucket=64, batch_size=4),
-                service_times=times,
+        router = None
+        if entry == "plan_capacity":
+            router = "memory-fit"
+            plan = plan_capacity(
+                trace, base_fleet=base, fleet_sizes=(2, 4), router=router, **grid
             )
-            assert point.report == standalone
+            runs = [(trace, {}, plan)]
+        elif entry == "compare_fleets":
+            router = "cost-greedy"
+            mixed = FleetSpec(
+                groups=(WorkerGroup("h100-chunk", 2), WorkerGroup("lightnobel", 2)),
+                name="mixed",
+            )
+            fleets = (mixed, FleetSpec.homogeneous("lightnobel", 3), base.with_size(3))
+            plan = compare_fleets(trace, fleets, router=router, **grid)
+            runs = [(trace, {}, plan)]
+        else:
+            suite = scenario_suite(num_workers=2)
+            plans = plan_capacity_under_scenarios(
+                suite, base_fleet=base, fleet_sizes=(2, 4), **grid
+            )
+            runs = [(s.trace, s.controls(), plans[s.name]) for s in suite]
+        for cell_trace, controls, plan in runs:
+            assert len(plan.points) == 2 * len(plan.fleet_names())
+            for point in plan.points:
+                times = prefetch_service_times(
+                    cell_trace, point.fleet, session=tiny_session
+                )
+                scheduler = (
+                    BucketedScheduler(min_bucket=64, batch_size=4)
+                    if point.policy == scheduler_name(shared_instance)
+                    else point.policy
+                )
+                standalone = replay_trace(
+                    cell_trace, point.fleet,
+                    scheduler=scheduler,
+                    service_times=times,
+                    router=router,
+                    same_length_reuse_discount=PINNED_REUSE_DISCOUNT,
+                    **controls,
+                )
+                assert point.report == standalone
 
     def test_unmeetable_slo_returns_none(self, tiny_session):
         pool, weights = mixture_lengths(PINNED_MIX)

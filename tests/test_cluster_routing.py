@@ -348,11 +348,18 @@ class TestMixedFleetExperiment:
 
 class TestCompareFleets:
     def test_validation(self):
+        """Bad axes raise ValueError before the prefetch (``service=object()``
+        would raise AttributeError if the prefetch ran first)."""
         trace = micro_trace([0.0])
-        with pytest.raises(ValueError):
-            compare_fleets(trace, ())
-        with pytest.raises(ValueError):
-            compare_fleets(trace, (FleetSpec.homogeneous("lightnobel", 1),), slo_target=1.5)
+        one = (FleetSpec.homogeneous("lightnobel", 1),)
+        for kwargs in (
+            dict(fleets=()),
+            dict(fleets=one, slo_target=1.5),
+            dict(fleets=one, slo_target=0.0),
+            dict(fleets=one, policies=()),
+        ):
+            with pytest.raises(ValueError):
+                compare_fleets(trace, service=object(), **kwargs)
 
     def test_points_cover_every_fleet_policy_cell(self, mixed_summary):
         comparison = mixed_summary.comparison

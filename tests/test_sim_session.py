@@ -16,6 +16,7 @@ from repro.sim import (
     available_backends,
     create_backend,
 )
+from repro.sim.cache import pricing_source_digest
 
 LENGTHS = (24, 40)
 
@@ -171,12 +172,14 @@ class TestDiskCache:
         assert second.cache.invalidations > 0
         assert second.cache.hits == 0
 
-    def test_package_version_mismatch_invalidates(self, config, tmp_path):
+    def test_pricing_source_mismatch_invalidates(self, config, tmp_path):
+        """Entries priced by other cost-model code are misses, not answers."""
         first = SimulationSession(ppm_config=config, cache_dir=tmp_path)
         expected = first.simulate(LENGTHS[0]).total_seconds
         for path in tmp_path.glob("*.pkl"):
             envelope = pickle.loads(path.read_bytes())
-            envelope["repro_version"] = "0.0.0-stale"
+            assert envelope["source_digest"] == pricing_source_digest()
+            envelope["source_digest"] = "0" * 64
             path.write_bytes(pickle.dumps(envelope))
         second = SimulationSession(ppm_config=config, cache_dir=tmp_path)
         assert second.simulate(LENGTHS[0]).total_seconds == expected
