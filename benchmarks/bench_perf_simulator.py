@@ -12,6 +12,13 @@ A second benchmark covers the PR 2 unified simulation layer: a
 versus the PR 1 per-call path, in the cold-process regime (the LRU is cleared
 each round, as a fresh sweep worker would see) and in the warm in-process
 regime (where the session's report memo skips even the vectorized engine).
+`clear_workload_caches` drops the per-config label cache too, so the cold
+side rebuilds the labels as well as the tables.
+
+A third benchmark guards the op-table build itself: the length-parametric
+`get_op_table` (labels once per config, one folding block's sizes tiled per
+length) against `OperatorTable.from_workload(build_model_ops(...))` over the
+lengths of the ``dse-sweep`` perfbench workload, cold each round.
 
 Each comparison times its two sides in interleaved rounds and compares
 medians (see :mod:`_timing`).
@@ -19,12 +26,13 @@ medians (see :mod:`_timing`).
 
 import tempfile
 
-from _timing import interleaved_medians
+from _timing import interleaved_medians, interleaved_quartiles
 from conftest import emit_bench_json, print_table
 
 from repro.core.aaq import AAQConfig
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
-from repro.ppm import PPMConfig, clear_workload_caches
+from repro.ppm import PPMConfig, clear_workload_caches, get_op_table
+from repro.ppm.op_table import OperatorTable
 from repro.ppm.workload import build_model_ops
 from repro.sim import SimulationSession
 
@@ -40,6 +48,12 @@ AAQ_SWEEP = tuple(
 
 #: Interleaved timing rounds per comparison.
 ROUNDS = 5
+
+#: The lengths ``perfbench/dse.py`` draws for ``dse-sweep`` seed 1.
+DSE_SWEEP_LENGTHS = (
+    77, 142, 175, 214, 239, 256, 348, 382, 513, 522, 589, 611,
+    615, 659, 681, 689, 809, 886, 1013, 1082, 1086, 1410, 1631, 1883,
+)
 
 
 def run_legacy_lengths(config):
@@ -241,3 +255,49 @@ def test_perf_session_batch_and_disk_cache(paper_config):
         # measurably in the cold-process regime (the sharded-sweep regime).
         assert cold_speedup >= 1.5
         assert session_warm <= percall_warm * 1.5  # memo path never slower
+
+
+def build_tables_length_parametric(config):
+    """Cold ``get_op_table`` over the sweep: labels and every table rebuilt."""
+    clear_workload_caches()
+    return [get_op_table(config, n) for n in DSE_SWEEP_LENGTHS]
+
+
+def build_tables_from_operators(config):
+    """The oracle build: the full ``Operator`` graph per length, then encoded."""
+    return [OperatorTable.from_workload(build_model_ops(config, n)) for n in DSE_SWEEP_LENGTHS]
+
+
+def test_perf_op_table_build(paper_config):
+    graph, parametric = interleaved_quartiles(
+        lambda: build_tables_from_operators(paper_config),
+        lambda: build_tables_length_parametric(paper_config),
+        rounds=ROUNDS,
+    )
+    speedup = graph[1] / parametric[1]
+    print_table(
+        f"Op-table build: {len(DSE_SWEEP_LENGTHS)} dse-sweep lengths, cold, "
+        f"median [IQR] of {ROUNDS} interleaved rounds",
+        [
+            ("build", "median", "IQR", "speedup"),
+            *(
+                (label, f"{q2 * 1e3:8.1f} ms", f"{(q3 - q1) * 1e3:6.1f} ms", tag)
+                for label, (q1, q2, q3), tag in (
+                    ("from_workload(build_model_ops)", graph, "-"),
+                    ("get_op_table (length-parametric)", parametric, f"{speedup:5.1f}x"),
+                )
+            ),
+        ],
+    )
+    emit_bench_json(
+        "op_table_build",
+        {
+            "lengths": len(DSE_SWEEP_LENGTHS),
+            "from_operators_seconds": graph[1],
+            "from_operators_iqr_seconds": graph[2] - graph[0],
+            "length_parametric_seconds": parametric[1],
+            "length_parametric_iqr_seconds": parametric[2] - parametric[0],
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= 5.0

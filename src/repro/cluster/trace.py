@@ -89,6 +89,11 @@ class RequestTrace:
     seed: int
     #: Mean offered request rate implied by the generator (requests/second).
     offered_rps: float
+    #: Derived state (the content digest), created empty with the instance;
+    #: it takes no part in equality, hashing or ``repr``.
+    _memo: Dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -214,7 +219,13 @@ class RequestTrace:
         return trace
 
     def config_digest(self) -> str:
-        """Stable content hash (cache key for replay/planner results)."""
+        """Stable content hash (cache key for replay/planner results), memoized."""
+        digest = self._memo.get("digest")
+        if digest is None:
+            digest = self._memo["digest"] = self._content_digest()
+        return digest
+
+    def _content_digest(self) -> str:
         return stable_digest(
             "RequestTrace",
             {

@@ -15,6 +15,25 @@ losslessly to and from :class:`~repro.ppm.workload.Workload`, and
 :func:`get_op_table` / :func:`get_workload` add an LRU cache keyed on
 ``(config, n, include_recycles)`` so repeated sweeps stop rebuilding the graph.
 
+:func:`get_op_table` builds a table in two parts, because no label depends on
+the sequence length and every folding block has the same sizes:
+
+* **labels, once per** ``(config, include_recycles)``: names, vocabularies,
+  codes and ``fusible`` come from one :meth:`OperatorTable.from_workload` of
+  the full :func:`~repro.ppm.workload.build_model_ops` graph, kept in a small
+  LRU;
+* **sizes, per length**: the numeric columns come from the workload builders
+  called once each (input embedding, folding block 0, structure module), with
+  the block's rows tiled ``num_blocks`` times and the trunk tiled once per
+  pass.
+
+The builders compute every float, so a table is bit-identical to
+``OperatorTable.from_workload(build_model_ops(config, n, include_recycles))``
+(the test oracle), from about 85 :class:`Operator` objects instead of about
+3.2k (paper config).  Building the labels checks that tiling reproduces the full graph's sizes,
+so a builder edit that makes a block depend on its index fails loudly instead
+of mispricing.  Tables of one config share the label tuples and code arrays.
+
 :class:`StackedOperatorTable` generalizes one table to a whole *traffic mix*:
 the tables of many distinct sequence lengths concatenated into one ragged
 column set with per-length segment offsets.  A latency backend evaluates its
@@ -29,14 +48,22 @@ pricing path: one table is priced as its memoized one-segment stack
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import PPMConfig
-from .workload import Operator, Workload, build_model_ops
+from .workload import (
+    Operator,
+    Workload,
+    build_folding_block_ops,
+    build_input_embedding_ops,
+    build_model_ops,
+    build_structure_module_ops,
+    trunk_passes,
+)
 
 #: Column names holding per-operator numeric data.
 NUMERIC_COLUMNS = (
@@ -46,6 +73,15 @@ NUMERIC_COLUMNS = (
     "output_elements",
     "weight_elements",
 )
+
+#: Label columns: groupby key -> the :class:`Operator` field it encodes.  A
+#: table stores key ``k`` as the vocabulary ``{k}s`` plus the codes ``{k}_codes``.
+_LABEL_FIELDS = {
+    "engine": "engine",
+    "phase": "phase",
+    "subphase": "subphase",
+    "group": "output_group",
+}
 
 
 def _encode(labels: Sequence) -> Tuple[np.ndarray, Tuple]:
@@ -75,8 +111,47 @@ def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return _freeze(np.concatenate(arrays))
 
 
+def _size_rows(operators: Sequence[Operator]) -> np.ndarray:
+    """The :data:`NUMERIC_COLUMNS` of ``operators``, one row per column."""
+    return np.array(
+        [[getattr(op, name) for op in operators] for name in NUMERIC_COLUMNS],
+        dtype=np.float64,
+    )
+
+
+def _numeric_columns(sizes: np.ndarray) -> Dict[str, np.ndarray]:
+    """Column name -> read-only row of ``sizes``."""
+    return dict(zip(NUMERIC_COLUMNS, _freeze(sizes)))
+
+
+class _LabelLookups:
+    """Label lookups shared by :class:`OperatorTable` and its stacks."""
+
+    def _codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
+        if key not in _LABEL_FIELDS:
+            raise ValueError(
+                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
+            )
+        return getattr(self, f"{key}_codes"), getattr(self, f"{key}s")
+
+    def _label_mask(self, key: str, label) -> np.ndarray:
+        codes, vocab = self._codes_for(key)
+        if label not in vocab:
+            return np.zeros(len(self), dtype=bool)
+        return codes == vocab.index(label)
+
+    def engine_mask(self, engine: str) -> np.ndarray:
+        return self._label_mask("engine", engine)
+
+    def phase_mask(self, phase: str) -> np.ndarray:
+        return self._label_mask("phase", phase)
+
+    def subphase_mask(self, subphase: str) -> np.ndarray:
+        return self._label_mask("subphase", subphase)
+
+
 @dataclass(frozen=True, eq=False)
-class OperatorTable:
+class OperatorTable(_LabelLookups):
     """One operator graph stored column-wise (struct of arrays)."""
 
     sequence_length: int
@@ -105,33 +180,16 @@ class OperatorTable:
     def from_operators(
         cls, operators: Sequence[Operator], config: PPMConfig, sequence_length: int
     ) -> "OperatorTable":
-        engine_codes, engines = _encode([op.engine for op in operators])
-        phase_codes, phases = _encode([op.phase for op in operators])
-        subphase_codes, subphases = _encode([op.subphase for op in operators])
-        group_codes, groups = _encode([op.output_group for op in operators])
+        labels = {}
+        for key, attr in _LABEL_FIELDS.items():
+            codes, labels[f"{key}s"] = _encode([getattr(op, attr) for op in operators])
+            labels[f"{key}_codes"] = _freeze(codes)
         return cls(
             sequence_length=sequence_length,
             config=config,
             names=tuple(op.name for op in operators),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            macs=_freeze(np.array([op.macs for op in operators], dtype=np.float64)),
-            vector_ops=_freeze(np.array([op.vector_ops for op in operators], dtype=np.float64)),
-            input_elements=_freeze(
-                np.array([op.input_elements for op in operators], dtype=np.float64)
-            ),
-            output_elements=_freeze(
-                np.array([op.output_elements for op in operators], dtype=np.float64)
-            ),
-            weight_elements=_freeze(
-                np.array([op.weight_elements for op in operators], dtype=np.float64)
-            ),
+            **labels,
+            **_numeric_columns(_size_rows(operators)),
             fusible=_freeze(np.array([op.fusible for op in operators], dtype=bool)),
         )
 
@@ -208,48 +266,23 @@ class OperatorTable:
         return getattr(self, name)
 
     # ----------------------------------------------------------------- masks
-    def engine_mask(self, engine: str) -> np.ndarray:
-        if engine not in self.engines:
-            return np.zeros(len(self), dtype=bool)
-        return self.engine_codes == self.engines.index(engine)
-
-    def phase_mask(self, phase: str) -> np.ndarray:
-        if phase not in self.phases:
-            return np.zeros(len(self), dtype=bool)
-        return self.phase_codes == self.phases.index(phase)
-
-    def subphase_mask(self, subphase: str) -> np.ndarray:
-        if subphase not in self.subphases:
-            return np.zeros(len(self), dtype=bool)
-        return self.subphase_codes == self.subphases.index(subphase)
-
     def select(self, mask: np.ndarray) -> "OperatorTable":
         """Sub-table of the rows where ``mask`` is True (labels re-factorized)."""
         indices = np.nonzero(np.asarray(mask, dtype=bool))[0]
-        engine_codes, engines = _encode([self.engines[self.engine_codes[i]] for i in indices])
-        phase_codes, phases = _encode([self.phases[self.phase_codes[i]] for i in indices])
-        subphase_codes, subphases = _encode(
-            [self.subphases[self.subphase_codes[i]] for i in indices]
-        )
-        group_codes, groups = _encode([self.groups[self.group_codes[i]] for i in indices])
+        labels = {}
+        for key in _LABEL_FIELDS:
+            codes, vocab = self._codes_for(key)
+            sub_codes, labels[f"{key}s"] = _encode([vocab[c] for c in codes[indices]])
+            labels[f"{key}_codes"] = _freeze(sub_codes)
         return OperatorTable(
             sequence_length=self.sequence_length,
             config=self.config,
             names=tuple(self.names[i] for i in indices),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            macs=_freeze(self.macs[indices]),
-            vector_ops=_freeze(self.vector_ops[indices]),
-            input_elements=_freeze(self.input_elements[indices]),
-            output_elements=_freeze(self.output_elements[indices]),
-            weight_elements=_freeze(self.weight_elements[indices]),
-            fusible=_freeze(self.fusible[indices]),
+            **labels,
+            **{
+                name: _freeze(getattr(self, name)[indices])
+                for name in NUMERIC_COLUMNS + ("fusible",)
+            },
         )
 
     def filter(
@@ -269,19 +302,6 @@ class OperatorTable:
         return self.select(mask)
 
     # --------------------------------------------------------------- groupby
-    def _codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
-        try:
-            return {
-                "phase": (self.phase_codes, self.phases),
-                "subphase": (self.subphase_codes, self.subphases),
-                "engine": (self.engine_codes, self.engines),
-                "group": (self.group_codes, self.groups),
-            }[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
-            ) from None
-
     def groupby_sum(self, key: str, column: str = "macs") -> Dict:
         """Sum a numeric column per label of ``key`` (phase/subphase/engine/group)."""
         return self.weighted_sums(key, self.column(column))
@@ -300,9 +320,6 @@ class OperatorTable:
         """Sub-table per phase, in first-appearance order (columnar ``by_phase``)."""
         return {phase: self.select(self.phase_codes == code)
                 for code, phase in enumerate(self.phases)}
-
-    def phase_sums(self, column: str = "macs") -> Dict[str, float]:
-        return self.groupby_sum("phase", column)
 
 
 def _remap_codes(
@@ -336,7 +353,7 @@ def _remap_codes(
 
 
 @dataclass(frozen=True, eq=False)
-class StackedOperatorTable:
+class StackedOperatorTable(_LabelLookups):
     """Operator tables of many sequence lengths, concatenated column-wise.
 
     Segment ``i`` (rows ``segment_starts[i]:segment_starts[i+1]``) holds the
@@ -383,37 +400,22 @@ class StackedOperatorTable:
             raise ValueError("stacked lengths must be distinct")
         starts = np.zeros(len(tables) + 1, dtype=np.int64)
         np.cumsum([len(t) for t in tables], out=starts[1:])
-        engine_codes, engines = _remap_codes(
-            [t.engine_codes for t in tables], [t.engines for t in tables]
-        )
-        phase_codes, phases = _remap_codes(
-            [t.phase_codes for t in tables], [t.phases for t in tables]
-        )
-        subphase_codes, subphases = _remap_codes(
-            [t.subphase_codes for t in tables], [t.subphases for t in tables]
-        )
-        group_codes, groups = _remap_codes(
-            [t.group_codes for t in tables], [t.groups for t in tables]
-        )
+        labels = {}
+        for key in _LABEL_FIELDS:
+            codes, labels[f"{key}s"] = _remap_codes(
+                *zip(*(t._codes_for(key) for t in tables))
+            )
+            labels[f"{key}_codes"] = _freeze(codes)
         return cls(
             config=config,
             lengths=lengths,
             tables=tuple(tables),
             segment_starts=_freeze(starts),
-            engines=engines,
-            engine_codes=_freeze(engine_codes),
-            phases=phases,
-            phase_codes=_freeze(phase_codes),
-            subphases=subphases,
-            subphase_codes=_freeze(subphase_codes),
-            groups=groups,
-            group_codes=_freeze(group_codes),
-            macs=_concat([t.macs for t in tables]),
-            vector_ops=_concat([t.vector_ops for t in tables]),
-            input_elements=_concat([t.input_elements for t in tables]),
-            output_elements=_concat([t.output_elements for t in tables]),
-            weight_elements=_concat([t.weight_elements for t in tables]),
-            fusible=_concat([t.fusible for t in tables]),
+            **labels,
+            **{
+                name: _concat([getattr(t, name) for t in tables])
+                for name in NUMERIC_COLUMNS + ("fusible",)
+            },
         )
 
     # ---------------------------------------------------------------- queries
@@ -447,17 +449,6 @@ class StackedOperatorTable:
         """Segment holding ``sequence_length`` (raises ``ValueError`` if absent)."""
         return self.lengths.index(int(sequence_length))
 
-    # ----------------------------------------------------------------- masks
-    def engine_mask(self, engine: str) -> np.ndarray:
-        if engine not in self.engines:
-            return np.zeros(len(self), dtype=bool)
-        return self.engine_codes == self.engines.index(engine)
-
-    def phase_mask(self, phase: str) -> np.ndarray:
-        if phase not in self.phases:
-            return np.zeros(len(self), dtype=bool)
-        return self.phase_codes == self.phases.index(phase)
-
     # ------------------------------------------------------------- reductions
     def segment_sums(self, values: np.ndarray) -> List[float]:
         """Per-segment sum of a stacked per-operator array.
@@ -482,19 +473,6 @@ class StackedOperatorTable:
             for i in range(self.num_segments)
         ]
 
-    def _stacked_codes_for(self, key: str) -> Tuple[np.ndarray, Tuple]:
-        try:
-            return {
-                "phase": (self.phase_codes, self.phases),
-                "subphase": (self.subphase_codes, self.subphases),
-                "engine": (self.engine_codes, self.engines),
-                "group": (self.group_codes, self.groups),
-            }[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown groupby key {key!r}; expected phase/subphase/engine/group"
-            ) from None
-
     def _reduction_plan(self, key: str) -> Tuple[np.ndarray, int, Tuple]:
         """(combined bins, minlength, per-segment label layout) for ``key``.
 
@@ -504,7 +482,7 @@ class StackedOperatorTable:
         """
         plan = self._memo.get(("plan", key))
         if plan is None:
-            codes, vocab = self._stacked_codes_for(key)
+            codes, vocab = self._codes_for(key)
             width = len(vocab)
             counts = np.diff(self.segment_starts)
             segment_ids = np.repeat(
@@ -548,6 +526,54 @@ class StackedOperatorTable:
 
 
 # ------------------------------------------------------------------- caching
+#: Length of the graph the labels are read from.  No label depends on it;
+#: at 3, unlike at 1, ``n``, ``n**2`` and ``n**3`` differ, which sharpens
+#: the tiling check in :func:`_cached_labels`.
+_LABEL_LENGTH = 3
+
+
+def _sizes(config: PPMConfig, n: int, include_recycles: bool) -> np.ndarray:
+    """The numeric columns of ``build_model_ops(config, n, include_recycles)``.
+
+    Each builder runs once: folding block 0's rows stand for every block,
+    and the trunk (blocks, then the structure module) repeats once per pass,
+    in :func:`~repro.ppm.workload.build_model_ops`'s row order.
+    """
+    trunk = np.concatenate(
+        [
+            np.tile(_size_rows(build_folding_block_ops(config, n, 0)), config.num_blocks),
+            _size_rows(build_structure_module_ops(config, n)),
+        ],
+        axis=1,
+    )
+    return np.concatenate(
+        [
+            _size_rows(build_input_embedding_ops(config, n)),
+            np.tile(trunk, trunk_passes(config, include_recycles)),
+        ],
+        axis=1,
+    )
+
+
+@lru_cache(maxsize=16)
+def _cached_labels(config: PPMConfig, include_recycles: bool) -> OperatorTable:
+    """The full graph's table at :data:`_LABEL_LENGTH`, for its label columns.
+
+    Also checks, once per key, that :func:`_sizes` reproduces that graph's
+    numeric columns: every block sized like block 0, in the same row order.
+    """
+    labels = OperatorTable.from_workload(
+        build_model_ops(config, _LABEL_LENGTH, include_recycles=include_recycles)
+    )
+    full = np.stack([getattr(labels, name) for name in NUMERIC_COLUMNS])
+    if not np.array_equal(_sizes(config, _LABEL_LENGTH, include_recycles), full):
+        raise AssertionError(
+            "build_model_ops is no longer folding block 0 tiled per block and "
+            "per pass; the length-parametric op-table build would misprice"
+        )
+    return labels
+
+
 @lru_cache(maxsize=64)
 def _cached_workload(config: PPMConfig, n: int, include_recycles: bool) -> Workload:
     return build_model_ops(config, n, include_recycles=include_recycles)
@@ -555,7 +581,13 @@ def _cached_workload(config: PPMConfig, n: int, include_recycles: bool) -> Workl
 
 @lru_cache(maxsize=64)
 def _cached_table(config: PPMConfig, n: int, include_recycles: bool) -> OperatorTable:
-    return OperatorTable.from_workload(_cached_workload(config, n, include_recycles))
+    if n <= 0:
+        raise ValueError("sequence length must be positive")
+    return replace(
+        _cached_labels(config, include_recycles),
+        sequence_length=n,
+        **_numeric_columns(_sizes(config, n, include_recycles)),
+    )
 
 
 def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
@@ -574,7 +606,12 @@ def get_workload(config: PPMConfig, n: int, include_recycles: bool = False) -> W
 
 
 def get_op_table(config: PPMConfig, n: int, include_recycles: bool = False) -> OperatorTable:
-    """LRU-cached columnar operator table for ``(config, n, include_recycles)``."""
+    """LRU-cached columnar operator table for ``(config, n, include_recycles)``.
+
+    Equal, column for column, to ``OperatorTable.from_workload(build_model_ops(
+    config, n, include_recycles))``, but built from the config's cached labels
+    and one folding block's sizes (see the module docstring).
+    """
     return _cached_table(config, int(n), bool(include_recycles))
 
 
@@ -607,6 +644,7 @@ def clear_workload_caches() -> None:
     """Drop all cached workloads/tables (mainly for tests and memory pressure)."""
     _cached_stack.cache_clear()
     _cached_table.cache_clear()
+    _cached_labels.cache_clear()
     _cached_workload.cache_clear()
 
 

@@ -12,6 +12,12 @@ its exact MAC count, activation sizes and activation group.
 downstream models (LightNobel accelerator, A100/H100 analytical model, peak
 memory, computational cost) consume the same graph, which keeps the
 comparisons apples-to-apples.
+
+The per-part builders below are the single source of every size formula.
+:func:`repro.ppm.op_table.get_op_table` calls them directly (input
+embedding, one folding block, structure module) and tiles the block, and
+``build_model_ops``'s :class:`Operator` graph is the oracle its tables are
+tested against.  A block's sizes must therefore not depend on its index.
 """
 
 from __future__ import annotations
@@ -89,19 +95,6 @@ class Workload:
         if engine is not None:
             ops = [op for op in ops if op.engine == engine]
         return ops
-
-    def structure_signature(self) -> tuple:
-        """Length-invariant identity of the operator sequence.
-
-        Two workloads of the same config at different sequence lengths share
-        this signature (only the numeric columns scale with ``n``) — the
-        property that lets :class:`~repro.ppm.op_table.StackedOperatorTable`
-        concatenate per-length tables under one shared label vocabulary.
-        """
-        return tuple(
-            (op.name, op.engine, op.phase, op.subphase, op.output_group, op.fusible)
-            for op in self.operators
-        )
 
 
 def _linear_op(
@@ -355,14 +348,18 @@ def build_structure_module_ops(config: PPMConfig, n: int, num_layers: int = 8) -
     return ops
 
 
+def trunk_passes(config: PPMConfig, include_recycles: bool) -> int:
+    """Passes through the folding trunk: one, plus one per counted recycle."""
+    return (config.num_recycles + 1) if include_recycles else 1
+
+
 def build_model_ops(config: PPMConfig, n: int, include_recycles: bool = False) -> Workload:
     """Full operator graph of one PPM inference at sequence length ``n``."""
     if n <= 0:
         raise ValueError("sequence length must be positive")
     operators: List[Operator] = []
     operators.extend(build_input_embedding_ops(config, n))
-    passes = (config.num_recycles + 1) if include_recycles else 1
-    for _ in range(passes):
+    for _ in range(trunk_passes(config, include_recycles)):
         for block in range(config.num_blocks):
             operators.extend(build_folding_block_ops(config, n, block))
         operators.extend(build_structure_module_ops(config, n))

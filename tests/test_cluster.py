@@ -154,6 +154,18 @@ class TestTraces:
         assert bursty_trace(**kwargs) == bursty_trace(**kwargs)
         assert poisson_trace(**kwargs).config_digest() == poisson_trace(**kwargs).config_digest()
 
+    def test_config_digest_is_memoized_per_instance(self):
+        pool, _ = mixture_lengths([(24, 1.0)])
+        trace = poisson_trace(rate_rps=10.0, num_requests=20, length_pool=pool, seed=0)
+        first = trace.config_digest()
+        assert trace.config_digest() is first  # the cached string, not a re-hash
+        copy = dataclasses.replace(trace)
+        assert copy._memo == {}  # a fresh memo, not the original's
+        assert copy == trace and hash(copy) == hash(trace)
+        assert copy.config_digest() == first
+        renamed = dataclasses.replace(trace, name="renamed")
+        assert renamed.config_digest() != first
+
     def test_different_seeds_differ(self):
         pool, _ = mixture_lengths([(24, 1.0)])
         a = poisson_trace(rate_rps=10.0, num_requests=20, length_pool=pool, seed=0)

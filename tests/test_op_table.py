@@ -5,17 +5,24 @@ The acceptance bar for the columnar refactor: `OperatorTable`-backed
 relative) to the legacy per-operator object-graph path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import GPUModel
 from repro.hardware import LightNobelAccelerator, LightNobelConfig
 from repro.ppm import PPMConfig
+from repro.ppm import workload as workload_module
 from repro.ppm.op_table import (
     OperatorTable,
     clear_workload_caches,
     get_op_table,
+    get_stacked_table,
     get_workload,
+    workload_cache_info,
 )
 from repro.ppm.workload import (
     ENGINE_MATMUL,
@@ -133,6 +140,82 @@ class TestWorkloadCache:
         assert model_weight_elements(paper_config, include_language_model=True) == pytest.approx(
             direct + paper_config.language_model_params, rel=REL
         )
+
+
+#: Configs of the length-parametric parity property, by name.
+PARITY_CONFIGS = {
+    "paper": PPMConfig.paper(),
+    "small": PPMConfig.small(),
+    "tiny": PPMConfig.tiny(),
+    "paper-1-block": PPMConfig.paper().with_blocks(1),
+    "paper-chunked": PPMConfig.paper().with_chunking(64, 32),
+    "paper-2-recycles": PPMConfig.paper().with_recycles(2),
+}
+
+
+def assert_tables_equal(actual, expected):
+    """Every field of two tables equal: label tuples by value, arrays bytewise."""
+    for spec in dataclasses.fields(OperatorTable):
+        if spec.name == "_memo":
+            continue
+        a, b = getattr(actual, spec.name), getattr(expected, spec.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), spec.name
+        else:
+            assert a == b, spec.name
+
+
+class TestLengthParametricBuild:
+    """`get_op_table` builds labels once per config and tiles one block's sizes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PARITY_CONFIGS)),
+        n=st.integers(min_value=1, max_value=120_000),
+        include_recycles=st.booleans(),
+    )
+    def test_equals_the_operator_graph_column_for_column(self, name, n, include_recycles):
+        config = PARITY_CONFIGS[name]
+        clear_workload_caches()
+        table = get_op_table(config, n, include_recycles)
+        assert workload_cache_info()[1].misses == 1
+        oracle = OperatorTable.from_workload(build_model_ops(config, n, include_recycles))
+        assert_tables_equal(table, oracle)
+
+    def test_one_table_miss_per_new_key(self):
+        clear_workload_caches()
+        tiny = PPMConfig.tiny()
+        keys = [(tiny, 5, False), (tiny, 6, False), (tiny, 5, True), (tiny.with_blocks(3), 5, False)]
+        for misses, key in enumerate(keys, start=1):
+            get_op_table(*key)
+            get_op_table(*key)  # a repeat is a hit
+            assert workload_cache_info()[1].misses == misses
+
+    def test_tables_of_one_config_share_labels(self, paper_config):
+        a, b = get_op_table(paper_config, 50), get_op_table(paper_config, 60)
+        for name in ("names", "engines", "phases", "subphases", "groups", "engine_codes",
+                     "phase_codes", "subphase_codes", "group_codes", "fusible"):
+            assert getattr(a, name) is getattr(b, name)
+        stack = get_stacked_table(paper_config, [50, 60])
+        assert stack.phases is a.phases  # the shared-vocab fast path applied
+
+    def test_rejects_non_positive_lengths(self, paper_config):
+        with pytest.raises(ValueError):
+            get_op_table(paper_config, 0)
+
+    def test_a_block_sized_by_its_index_fails_loudly(self, monkeypatch):
+        original = workload_module.build_folding_block_ops
+
+        def indexed(config, n, block=0):
+            return [
+                dataclasses.replace(op, macs=op.macs * (block + 1))
+                for op in original(config, n, block)
+            ]
+
+        monkeypatch.setattr(workload_module, "build_folding_block_ops", indexed)
+        clear_workload_caches()
+        with pytest.raises(AssertionError, match="misprice"):
+            get_op_table(PPMConfig.tiny(), 8)
 
 
 class TestAcceleratorParity:
